@@ -11,8 +11,9 @@
 // than --min-coverage (default 0.95) of its measured round-loop wall time
 // — the profiler's accounting contract.
 //
-// Flags: --scenario fig1|fig3 (default fig1), --shards K (default 4),
-// --threads T (default 0 = auto), --nodes N, --seed S, --sim-end T,
+// Flags: --scenario fig1|fig3 (default fig1; fig3 runs Routeless Routing
+// with 10 pairs), --shards K (default 4), --threads T (default 0 = auto),
+// --nodes N, --seed S, --sim-end T,
 // --report PATH (default report.json), --trace PATH (no trace when empty),
 // --progress BOOL, --wall-budget-s S, --rss-budget-mib M,
 // --min-coverage F.
@@ -34,6 +35,12 @@ int main(int argc, char** argv) {
   const std::string scenario = flags.get_string("scenario", "fig1");
   sim::ScenarioConfig config = scenario == "fig3" ? bench::figure3_setup()
                                                   : bench::figure1_setup();
+  if (scenario == "fig3") {
+    // figure3_setup() is the sweep's base; Figure 3's headline point is
+    // Routeless Routing at the sweep's largest pair count.
+    config.protocol = sim::ProtocolKind::Routeless;
+    config.pairs = 10;
+  }
   std::size_t replications = 1;
   bench::apply_flags(flags, config, replications);
   config.shards = static_cast<std::uint32_t>(flags.get_int("shards", 4));
@@ -51,7 +58,8 @@ int main(int argc, char** argv) {
   monitor_config.progress = flags.get_bool("progress", false);
   monitor_config.wall_budget_s = flags.get_double("wall-budget-s", 0.0);
   monitor_config.rss_budget_mib = flags.get_double("rss-budget-mib", 0.0);
-  monitor_config.label = scenario;
+  monitor_config.label = scenario + " " + sim::to_string(config.protocol) +
+                         " pairs=" + std::to_string(config.pairs);
   obs::RunHealthMonitor monitor(monitor_config);
   config.health_monitor = &monitor;
 
@@ -64,7 +72,7 @@ int main(int argc, char** argv) {
   }
 
   std::printf("%s: %llu events in %.2fs (%.2fM ev/s), peak RSS %.0f MiB%s\n",
-              scenario.c_str(),
+              monitor_config.label.c_str(),
               static_cast<unsigned long long>(result.events_executed),
               monitor.wall_s(),
               monitor.wall_s() > 0.0

@@ -2,10 +2,15 @@
 # Tier-1 verification: plain build + tests, then the same suite under
 # ASan/UBSan (second build dir, registered as the "sanitize" configuration).
 #
-# Usage: scripts/verify.sh [--with-bench] [--large-n-smoke]
+# Usage: scripts/verify.sh [--with-bench] [--large-n-smoke] [--ab]
 #   --with-bench     additionally run the engine benchmark suite and refresh
 #                    bench_results/BENCH_engine.json (plain build only; never
 #                    benchmark a sanitized binary).
+#   --ab             additionally run scripts/ab_rrbench.sh: the benchmark's
+#                    ssaf_1m workload, 10 alternating runs each of this tree
+#                    and its parent (HEAD when tracked files have uncommitted
+#                    edits, HEAD~1 otherwise), about 25 minutes; fails when
+#                    their fingerprints differ.
 #   --large-n-smoke  additionally run one n=100k SSAF serial row through
 #                    abl_large_n with an RSS budget assertion — proves the
 #                    bulk-construction / CSR-index path stays within its
@@ -20,10 +25,12 @@ cd "$(dirname "$0")/.."
 JOBS="$(nproc)"
 WITH_BENCH=0
 LARGE_N_SMOKE=0
+AB=0
 for arg in "$@"; do
   case "$arg" in
     --with-bench) WITH_BENCH=1 ;;
     --large-n-smoke) LARGE_N_SMOKE=1 ;;
+    --ab) AB=1 ;;
     *) echo "unknown flag: $arg" >&2; exit 2 ;;
   esac
 done
@@ -114,6 +121,11 @@ if [[ "$WITH_BENCH" == 1 ]]; then
   echo "== engine bench suite =="
   mkdir -p bench_results
   taskset -c 0 ./build/bench/run_bench_suite bench_results/BENCH_engine.json
+fi
+
+if [[ "$AB" == 1 ]]; then
+  echo "== interleaved A/B against the parent commit (rrbench) =="
+  scripts/ab_rrbench.sh
 fi
 
 echo "verify OK"

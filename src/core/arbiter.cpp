@@ -7,14 +7,6 @@
 
 namespace rrnet::core {
 
-void snapshot_metrics(const ArbiterStats& stats, obs::MetricRegistry& reg) {
-  namespace m = obs::metric;
-  reg.add(m::kArbiterWatches, stats.watches);
-  reg.add(m::kArbiterRelaysHeard, stats.relays_heard);
-  reg.add(m::kArbiterRetransmits, stats.retransmits);
-  reg.add(m::kArbiterGaveUp, stats.gave_up);
-}
-
 void Arbiter::watch(std::uint64_t key, Callbacks callbacks) {
   RRNET_EXPECTS(callbacks.retransmit != nullptr);
   RRNET_EXPECTS(callbacks.send_ack != nullptr);

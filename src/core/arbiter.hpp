@@ -13,9 +13,9 @@
 #include <unordered_map>
 #include "util/pooled_containers.hpp"
 
+#include "core/stats.hpp"
 #include "des/inline_callback.hpp"
 #include "des/timer.hpp"
-#include "obs/metrics.hpp"
 
 namespace rrnet::core {
 
@@ -23,17 +23,6 @@ struct ArbiterConfig {
   des::Time relay_timeout = 50e-3;  ///< silence before retransmitting
   std::uint32_t max_retransmits = 3;
 };
-
-struct ArbiterStats {
-  std::uint64_t watches = 0;
-  std::uint64_t relays_heard = 0;  ///< -> acknowledgement sent
-  std::uint64_t retransmits = 0;
-  std::uint64_t gave_up = 0;
-};
-
-/// Accumulate arbiter counters into a registry under the obs::metric
-/// arbiter.* names (protocols call this from their snapshot_metrics).
-void snapshot_metrics(const ArbiterStats& stats, obs::MetricRegistry& reg);
 
 class Arbiter {
  public:

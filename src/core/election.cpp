@@ -7,15 +7,6 @@
 
 namespace rrnet::core {
 
-void snapshot_metrics(const ElectionStats& stats, obs::MetricRegistry& reg) {
-  namespace m = obs::metric;
-  reg.add(m::kElectionArmed, stats.armed);
-  reg.add(m::kElectionWon, stats.won);
-  reg.add(m::kElectionCancelledDuplicate, stats.cancelled_duplicate);
-  reg.add(m::kElectionCancelledAck, stats.cancelled_ack);
-  reg.add(m::kElectionCancelledSuperseded, stats.cancelled_superseded);
-}
-
 void ElectionSession::arm_impl(const BackoffPolicy& policy,
                                const ElectionContext& context, des::Rng& rng,
                                WinHandler on_win, ElectionTable* owner,

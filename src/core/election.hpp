@@ -17,9 +17,9 @@
 #include "util/pooled_containers.hpp"
 
 #include "core/backoff_policy.hpp"
+#include "core/stats.hpp"
 #include "des/inline_callback.hpp"
 #include "des/timer.hpp"
-#include "obs/metrics.hpp"
 
 namespace rrnet::core {
 
@@ -30,19 +30,6 @@ enum class CancelReason : std::uint8_t {
   ArbiterAck,      ///< the arbiter acknowledged some other relay
   Superseded,      ///< protocol-level replacement / shutdown
 };
-
-/// Per-node counters over all elections.
-struct ElectionStats {
-  std::uint64_t armed = 0;
-  std::uint64_t won = 0;
-  std::uint64_t cancelled_duplicate = 0;
-  std::uint64_t cancelled_ack = 0;
-  std::uint64_t cancelled_superseded = 0;
-};
-
-/// Accumulate election counters into a registry under the obs::metric
-/// election.* names (protocols call this from their snapshot_metrics).
-void snapshot_metrics(const ElectionStats& stats, obs::MetricRegistry& reg);
 
 class ElectionSession {
  public:

@@ -21,11 +21,12 @@ bool mac_trace_enabled() {
 namespace rrnet::mac {
 
 
-CsmaMac::CsmaMac(phy::Channel& channel, std::uint32_t node_id,
+CsmaMac::CsmaMac(phy::Channel& channel, phy::Transceiver& radio,
                  MacParams params, des::Rng rng, MacListener& listener)
     : channel_(&channel),
+      radio_(&radio),
       scheduler_(&channel.scheduler()),
-      node_id_(node_id),
+      node_id_(radio.node_id()),
       params_(params),
       rng_(rng),
       listener_(&listener),
@@ -36,7 +37,7 @@ CsmaMac::CsmaMac(phy::Channel& channel, std::uint32_t node_id,
       nav_timer_(channel.scheduler()) {
   RRNET_EXPECTS(params.cw_min > 0);
   RRNET_EXPECTS(params.cw_max >= params.cw_min);
-  channel_->transceiver(node_id_).attach(*this);
+  radio_->attach(*this);
 }
 
 void CsmaMac::send(std::uint32_t dst, net::PacketRef packet,
@@ -72,7 +73,7 @@ void CsmaMac::serve_next() {
 }
 
 void CsmaMac::begin_attempt() {
-  const phy::Transceiver& radio = channel_->transceiver(node_id_);
+  const phy::Transceiver& radio = *radio_;
   if (radio.is_off()) {
     ++stats_.tx_dropped_radio_off;
     finish_current(false);
@@ -152,7 +153,7 @@ void CsmaMac::observe_nav(const Frame& frame, des::Time frame_end) {
     // Virtual carrier released: resume a parked attempt if the physical
     // medium is also quiet.
     if (state_ == TxState::WaitIdle && current_.has_value() &&
-        !channel_->transceiver(node_id_).medium_busy()) {
+        !radio_->medium_busy()) {
       start_difs();
     }
   });
@@ -160,7 +161,7 @@ void CsmaMac::observe_nav(const Frame& frame, des::Time frame_end) {
 
 void CsmaMac::transmit_current() {
   RRNET_ASSERT(current_.has_value());
-  const phy::Transceiver& radio = channel_->transceiver(node_id_);
+  const phy::Transceiver& radio = *radio_;
   if (radio.is_off()) {
     ++stats_.tx_dropped_radio_off;
     finish_current(false);
@@ -236,7 +237,7 @@ void CsmaMac::transmit_data_now() {
   scheduler_->schedule_in(params_.sifs, [this]() {
     --pending_deferred_;
     if (!current_.has_value()) return;
-    const phy::Transceiver& radio = channel_->transceiver(node_id_);
+    const phy::Transceiver& radio = *radio_;
     if (radio.is_off()) {
       ++stats_.tx_dropped_radio_off;
       finish_current(false);
@@ -269,7 +270,7 @@ void CsmaMac::send_cts(const Frame& rts) {
                                          seq = rts.sequence,
                                          nav = rts.nav_duration]() {
     --pending_deferred_;
-    const phy::Transceiver& radio = channel_->transceiver(node_id_);
+    const phy::Transceiver& radio = *radio_;
     if (radio.is_off() || radio.state() == phy::RadioState::Tx) return;
     // A CTS is a promise of a quiet medium: refuse while any reservation —
     // including one we granted ourselves — is still standing, or two hidden
@@ -373,7 +374,7 @@ void CsmaMac::send_ack(const Frame& data_frame) {
   scheduler_->schedule_in(params_.sifs, [this, src = data_frame.src,
                                          seq = data_frame.sequence]() {
     --pending_deferred_;
-    const phy::Transceiver& radio = channel_->transceiver(node_id_);
+    const phy::Transceiver& radio = *radio_;
     if (radio.is_off() || radio.state() == phy::RadioState::Tx) return;
     Frame ack;
     ack.kind = FrameKind::Ack;

@@ -49,6 +49,21 @@ struct MacStats {
   [[nodiscard]] std::uint64_t total_tx() const noexcept {
     return data_tx + ack_tx + rts_tx + cts_tx;
   }
+  MacStats& operator+=(const MacStats& o) noexcept {
+    data_tx += o.data_tx;
+    ack_tx += o.ack_tx;
+    rts_tx += o.rts_tx;
+    cts_tx += o.cts_tx;
+    cts_timeouts += o.cts_timeouts;
+    nav_deferrals += o.nav_deferrals;
+    backoffs += o.backoffs;
+    retries += o.retries;
+    unicast_failures += o.unicast_failures;
+    queue_drops += o.queue_drops;
+    tx_dropped_radio_off += o.tx_dropped_radio_off;
+    backoff_slots.merge(o.backoff_slots);
+    return *this;
+  }
 };
 
 /// Everything of a MAC that must survive a cross-shard node migration.
@@ -80,7 +95,8 @@ class MacListener {
 
 class CsmaMac final : public phy::RadioListener, public util::PoolAllocated {
  public:
-  CsmaMac(phy::Channel& channel, std::uint32_t node_id, MacParams params,
+  /// Attaches itself to `radio`, which must belong to `channel`.
+  CsmaMac(phy::Channel& channel, phy::Transceiver& radio, MacParams params,
           des::Rng rng, MacListener& listener);
 
   CsmaMac(const CsmaMac&) = delete;
@@ -94,6 +110,9 @@ class CsmaMac final : public phy::RadioListener, public util::PoolAllocated {
 
   [[nodiscard]] const MacStats& stats() const noexcept { return stats_; }
   [[nodiscard]] std::uint32_t node_id() const noexcept { return node_id_; }
+  [[nodiscard]] const phy::Transceiver& radio() const noexcept {
+    return *radio_;
+  }
   [[nodiscard]] std::size_t queue_length() const noexcept {
     return queue_.size();
   }
@@ -161,6 +180,7 @@ class CsmaMac final : public phy::RadioListener, public util::PoolAllocated {
   [[nodiscard]] des::Time ack_timeout() const noexcept;
 
   phy::Channel* channel_;
+  phy::Transceiver* radio_;
   des::Scheduler* scheduler_;
   std::uint32_t node_id_;
   MacParams params_;

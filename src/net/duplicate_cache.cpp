@@ -66,9 +66,4 @@ void DuplicateCache::restore(
   stats_ = stats;
 }
 
-void snapshot_metrics(const DuplicateCache& cache, obs::MetricRegistry& reg) {
-  reg.add(obs::metric::kNetDupCacheHits, cache.stats().hits);
-  reg.add(obs::metric::kNetDupCacheEvictions, cache.stats().evictions);
-}
-
 }  // namespace rrnet::net

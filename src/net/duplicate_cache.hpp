@@ -16,7 +16,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "util/pooled_containers.hpp"
 
 namespace rrnet::net {
@@ -25,6 +24,12 @@ namespace rrnet::net {
 struct DuplicateCacheStats {
   std::uint64_t hits = 0;       ///< observations of already-known keys
   std::uint64_t evictions = 0;  ///< keys pushed out by the capacity bound
+
+  DuplicateCacheStats& operator+=(const DuplicateCacheStats& o) noexcept {
+    hits += o.hits;
+    evictions += o.evictions;
+    return *this;
+  }
 };
 
 class DuplicateCache {
@@ -73,9 +78,5 @@ class DuplicateCache {
   util::PooledList<std::uint64_t> order_;  ///< front = least recently observed
   DuplicateCacheStats stats_;
 };
-
-/// Accumulate one cache's counters into a registry under the obs::metric
-/// net.dup_cache_* names (protocols call this per cache they own).
-void snapshot_metrics(const DuplicateCache& cache, obs::MetricRegistry& reg);
 
 }  // namespace rrnet::net

@@ -19,19 +19,31 @@ Network::Network(des::Scheduler& scheduler, const geom::Terrain& terrain,
   channel_ = std::make_unique<phy::Channel>(
       scheduler, terrain, std::move(model), radio_params, std::move(positions),
       root_rng.fork("channel"), std::move(shard), std::move(shared_index));
-  nodes_.reserve(n);
-  for (std::uint32_t id = 0; id < n; ++id) {
-    // Fork the per-node stream even for remote ids: forks are keyed off the
-    // parent seed (not stream position), so this is only documentation that
-    // id-keyed forking is what keeps shards bit-compatible with serial.
-    des::Rng node_rng = root_rng.fork("node", id);
-    if (!channel_->owns(id)) {
-      nodes_.push_back(nullptr);
-      continue;
-    }
-    nodes_.push_back(
-        std::make_unique<Node>(*this, id, mac_params, node_rng));
+  // Nodes (each building its MAC on the radio handed to it) follow the
+  // channel's storage order. The radios are gathered, and the nodes
+  // scattered into the id-indexed table, in passes of their own, which
+  // keeps the construction loop a streaming walk. Rng forks are keyed by
+  // node id, so every shard hands its nodes the streams the serial run does.
+  std::vector<phy::Transceiver*> radios;
+  radios.reserve(n);
+  for (const std::uint32_t id : channel_->storage_order()) {
+    if (channel_->owns(id)) radios.push_back(&channel_->transceiver(id));
   }
+  std::vector<std::unique_ptr<Node>> built;
+  built.reserve(radios.size());
+  for (phy::Transceiver* radio : radios) {
+    built.push_back(std::make_unique<Node>(
+        *this, *radio, mac_params, root_rng.fork("node", radio->node_id())));
+  }
+  nodes_.resize(n);
+  for (auto& node : built) {
+    const std::uint32_t id = node->id();
+    nodes_[id] = std::move(node);
+  }
+}
+
+Network::~Network() {
+  util::delete_in_reverse_order(nodes_, channel_->storage_order());
 }
 
 Node& Network::node(std::uint32_t id) {
@@ -48,8 +60,8 @@ Node& Network::adopt_node(std::uint32_t id) {
   RRNET_EXPECTS(id < nodes_.size() && nodes_[id] == nullptr);
   RRNET_EXPECTS(channel_->owns(id));
   channel_->adopt_transceiver(id);  // the MAC attaches to it in the ctor
-  nodes_[id] =
-      std::make_unique<Node>(*this, id, mac_params_, root_rng_.fork("node", id));
+  nodes_[id] = std::make_unique<Node>(*this, channel_->transceiver(id),
+                                      mac_params_, root_rng_.fork("node", id));
   return *nodes_[id];
 }
 
@@ -68,9 +80,8 @@ void Network::start_protocols() {
 
 std::uint64_t Network::total_mac_tx() const noexcept {
   std::uint64_t total = 0;
-  for (const auto& node : nodes_) {
-    if (node != nullptr) total += node->mac().stats().total_tx();
-  }
+  for_each_node(
+      [&](const Node& node) { total += node.mac().stats().total_tx(); });
   return total;
 }
 
@@ -96,11 +107,24 @@ void Network::snapshot_metrics(obs::MetricRegistry& reg,
   reg.add(m::kPhyTransmissions, ch.transmissions);
   reg.add(m::kPhyDeliveries, ch.deliveries);
 
-  obs::Histogram backoff_slots;
-  for (std::uint32_t id = 0; id < nodes_.size(); ++id) {
-    if (nodes_[id] == nullptr) continue;  // remote shard owns this node
-    const Node& node = *nodes_[id];
-    const phy::TransceiverStats& phy = channel_->transceiver(id).stats();
+  // Sum the per-node structs in storage order; the registry sees each
+  // total once. Per-node names appear only if this instance holds a node.
+  phy::TransceiverStats phy;
+  mac::MacStats mac;
+  NodeStats net;
+  ProtocolStats proto;
+  std::size_t queue_high_water = 0;
+  bool any_node = false;
+  for_each_node([&](const Node& node) {
+    any_node = true;
+    phy += node.mac().radio().stats();
+    mac += node.mac().stats();
+    queue_high_water =
+        std::max(queue_high_water, node.mac().queue_high_water());
+    net += node.stats();
+    if (node.has_protocol()) node.protocol().accumulate_stats(proto);
+  });
+  if (any_node) {
     reg.add(m::kPhyTxFrames, phy.frames_sent);
     reg.add(m::kPhySignalsArrived, phy.signals_arrived);
     reg.add(m::kPhyRxDecoded, phy.frames_decoded);
@@ -112,7 +136,6 @@ void Network::snapshot_metrics(obs::MetricRegistry& reg,
     reg.add(m::kPhyTxDroppedOff, phy.tx_dropped_off);
     reg.add(m::kPhyTxDroppedBusy, phy.tx_dropped_busy);
 
-    const mac::MacStats& mac = node.mac().stats();
     reg.add(m::kMacDataTx, mac.data_tx);
     reg.add(m::kMacAckTx, mac.ack_tx);
     reg.add(m::kMacRtsTx, mac.rts_tx);
@@ -124,20 +147,34 @@ void Network::snapshot_metrics(obs::MetricRegistry& reg,
     reg.add(m::kMacUnicastFailures, mac.unicast_failures);
     reg.add(m::kMacQueueDrops, mac.queue_drops);
     reg.add(m::kMacTxDroppedRadioOff, mac.tx_dropped_radio_off);
-    reg.set_max(m::kMacQueueHighWater, node.mac().queue_high_water());
-    backoff_slots.merge(mac.backoff_slots);
+    reg.set_max(m::kMacQueueHighWater, queue_high_water);
 
-    const NodeStats& net = node.stats();
     reg.add(m::kNetTxData, net.data_tx);
     reg.add(m::kNetTxControl, net.control_tx);
     reg.add(m::kNetDelivered, net.delivered);
-
-    if (node.has_protocol()) node.protocol().snapshot_metrics(reg);
+  }
+  if (proto.has_election) {
+    reg.add(m::kElectionArmed, proto.election.armed);
+    reg.add(m::kElectionWon, proto.election.won);
+    reg.add(m::kElectionCancelledDuplicate, proto.election.cancelled_duplicate);
+    reg.add(m::kElectionCancelledAck, proto.election.cancelled_ack);
+    reg.add(m::kElectionCancelledSuperseded,
+            proto.election.cancelled_superseded);
+  }
+  if (proto.has_arbiter) {
+    reg.add(m::kArbiterWatches, proto.arbiter.watches);
+    reg.add(m::kArbiterRelaysHeard, proto.arbiter.relays_heard);
+    reg.add(m::kArbiterRetransmits, proto.arbiter.retransmits);
+    reg.add(m::kArbiterGaveUp, proto.arbiter.gave_up);
+  }
+  if (proto.has_dup_cache) {
+    reg.add(m::kNetDupCacheHits, proto.dup_cache.hits);
+    reg.add(m::kNetDupCacheEvictions, proto.dup_cache.evictions);
   }
   if (backoff_slots_out != nullptr) {
-    backoff_slots_out->merge(backoff_slots);
-  } else if (!backoff_slots.empty()) {
-    backoff_slots.snapshot_into(reg, m::kMacBackoffSlots);
+    backoff_slots_out->merge(mac.backoff_slots);
+  } else if (!mac.backoff_slots.empty()) {
+    mac.backoff_slots.snapshot_into(reg, m::kMacBackoffSlots);
   }
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "des/rng.hpp"
@@ -13,6 +14,7 @@
 #include "net/node.hpp"
 #include "obs/metrics.hpp"
 #include "phy/channel.hpp"
+#include "util/pool.hpp"
 
 namespace rrnet::net {
 
@@ -36,6 +38,8 @@ class Network {
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
+  /// Destroys the nodes in reverse storage order (see for_each_node).
+  ~Network();
 
   [[nodiscard]] std::size_t size() const noexcept { return nodes_.size(); }
   [[nodiscard]] Node& node(std::uint32_t id);
@@ -48,7 +52,34 @@ class Network {
   [[nodiscard]] const phy::Channel& channel() const noexcept { return *channel_; }
   [[nodiscard]] des::Scheduler& scheduler() noexcept { return *scheduler_; }
 
-  /// Call every protocol's start() hook (after all protocols are attached).
+  /// Call `fn(node)` for every node this instance holds, in storage order:
+  /// the channel's grid cell order, the order the nodes were built in, so
+  /// consecutive calls touch neighbouring memory. For per-node work whose
+  /// order has no effect on results; anything that schedules events or
+  /// sums floating point walks ids in ascending order instead.
+  template <typename Fn>
+  void for_each_node(Fn&& fn) {
+    for (const std::uint32_t id : channel_->storage_order()) {
+      if (nodes_[id] != nullptr) fn(*nodes_[id]);
+    }
+  }
+  template <typename Fn>
+  void for_each_node(Fn&& fn) const {
+    for (const std::uint32_t id : channel_->storage_order()) {
+      if (nodes_[id] != nullptr) fn(std::as_const(*nodes_[id]));
+    }
+  }
+  /// The held nodes in storage order, gathered in a pass of their own. For
+  /// a pass that builds an object per node (protocol and sink attach):
+  /// looking each node up between constructions, as for_each_node does,
+  /// measured slower at n = 10^6 than this extra pass (DESIGN.md, "Storage
+  /// order").
+  [[nodiscard]] std::vector<Node*> nodes_in_storage_order() {
+    return util::gather_in_order(nodes_, channel_->storage_order());
+  }
+
+  /// Call every protocol's start() hook (after all protocols are attached),
+  /// in node id order.
   void start_protocols();
 
   // --- Node migration (sharded dynamic ownership) ---
@@ -77,12 +108,12 @@ class Network {
   /// "Number of MAC Packets" metric.
   [[nodiscard]] std::uint64_t total_mac_tx() const noexcept;
 
-  /// Dump every layer's counters (PHY, MAC, net, per-protocol) into `reg`.
-  /// Pure observation: never mutates simulation state. When
-  /// `backoff_slots_out` is non-null the raw backoff histogram is merged
-  /// into it INSTEAD of being flattened into `reg` — percentile entries do
-  /// not compose across registries, so a sharded run collects the raw
-  /// buckets per shard and flattens the union once.
+  /// Sum every layer's per-node counters (PHY, MAC, net, per-protocol) and
+  /// add the totals to `reg`. Pure observation: never mutates simulation
+  /// state. When `backoff_slots_out` is non-null the raw backoff histogram
+  /// is merged into it INSTEAD of being flattened into `reg` — percentile
+  /// entries do not compose across registries, so a sharded run collects
+  /// the raw buckets per shard and flattens the union once.
   void snapshot_metrics(obs::MetricRegistry& reg,
                         obs::Histogram* backoff_slots_out = nullptr) const;
 

@@ -9,10 +9,10 @@
 
 namespace rrnet::net {
 
-Node::Node(Network& network, std::uint32_t id,
+Node::Node(Network& network, phy::Transceiver& radio,
            const mac::MacParams& mac_params, des::Rng rng)
-    : network_(&network), id_(id), rng_(rng) {
-  mac_ = std::make_unique<mac::CsmaMac>(network.channel(), id, mac_params,
+    : network_(&network), id_(radio.node_id()), rng_(rng) {
+  mac_ = std::make_unique<mac::CsmaMac>(network.channel(), radio, mac_params,
                                         rng_.fork("mac"), *this);
 }
 

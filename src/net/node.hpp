@@ -39,12 +39,21 @@ struct NodeStats {
   std::uint64_t data_tx = 0;
   std::uint64_t control_tx = 0;
   std::uint64_t delivered = 0;
+
+  NodeStats& operator+=(const NodeStats& o) noexcept {
+    data_tx += o.data_tx;
+    control_tx += o.control_tx;
+    delivered += o.delivered;
+    return *this;
+  }
 };
 
 class Node final : public mac::MacListener, public util::PoolAllocated {
  public:
-  Node(Network& network, std::uint32_t id, const mac::MacParams& mac_params,
-       des::Rng rng);
+  /// The node takes its id from `radio`, a transceiver of the network's
+  /// channel, and builds its MAC on it.
+  Node(Network& network, phy::Transceiver& radio,
+       const mac::MacParams& mac_params, des::Rng rng);
 
   [[nodiscard]] std::uint32_t id() const noexcept { return id_; }
   [[nodiscard]] Network& network() const noexcept { return *network_; }

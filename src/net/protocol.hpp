@@ -7,8 +7,9 @@
 #include <cstdint>
 #include <memory>
 
+#include "core/stats.hpp"
+#include "net/duplicate_cache.hpp"
 #include "net/packet_buffer.hpp"
-#include "obs/metrics.hpp"
 #include "util/pool.hpp"
 #include "phy/radio.hpp"
 
@@ -23,6 +24,31 @@ class Node;
 /// must live on the global allocator, never a thread-local pool.
 struct MigrationBlob {
   virtual ~MigrationBlob() = default;
+};
+
+/// Protocol-layer counters summed over every node at end of run. Each
+/// family reaches the metric registry only if some protocol reported it, so
+/// a protocol without elections adds no election.* entries.
+struct ProtocolStats {
+  core::ElectionStats election;
+  core::ArbiterStats arbiter;
+  DuplicateCacheStats dup_cache;
+  bool has_election = false;
+  bool has_arbiter = false;
+  bool has_dup_cache = false;
+
+  void add(const core::ElectionStats& s) noexcept {
+    election += s;
+    has_election = true;
+  }
+  void add(const core::ArbiterStats& s) noexcept {
+    arbiter += s;
+    has_arbiter = true;
+  }
+  void add(const DuplicateCache& cache) noexcept {
+    dup_cache += cache.stats();
+    has_dup_cache = true;
+  }
 };
 
 class Protocol : public util::PoolAllocated {
@@ -59,10 +85,9 @@ class Protocol : public util::PoolAllocated {
   /// Human-readable protocol name for reports.
   [[nodiscard]] virtual const char* name() const noexcept = 0;
 
-  /// Dump protocol-level counters (elections, duplicate caches, ...) into
-  /// `reg` using the obs::metric vocabulary. Called once at end-of-run by
-  /// Network::snapshot_metrics; must not mutate protocol state.
-  virtual void snapshot_metrics(obs::MetricRegistry& reg) const { (void)reg; }
+  /// Add this instance's election, arbiter and duplicate-cache counters to
+  /// `into`. Called once at end of run by Network::snapshot_metrics.
+  virtual void accumulate_stats(ProtocolStats& into) const { (void)into; }
 
   [[nodiscard]] Node& node() const noexcept { return *node_; }
 

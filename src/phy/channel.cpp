@@ -7,6 +7,7 @@
 #include "obs/trace.hpp"
 #include "phy/units.hpp"
 #include "util/contracts.hpp"
+#include "util/pool.hpp"
 
 namespace rrnet::phy {
 
@@ -44,18 +45,25 @@ Channel::Channel(des::Scheduler& scheduler, const geom::Terrain& terrain,
   RRNET_EXPECTS(n > 0);
   RRNET_EXPECTS(shard_.owner.empty() || shard_.owner.size() == n);
   frame_counters_.assign(n, 0);
-  transceivers_.reserve(n);
-  for (std::uint32_t id = 0; id < n; ++id) {
-    if (!owns(id)) {
-      // Remote node: position indexed (the grid needs every node for
-      // bit-identical receiver walks), radio lives on its owning shard.
-      transceivers_.push_back(nullptr);
-      continue;
-    }
-    transceivers_.push_back(std::make_unique<Transceiver>(id, params_));
+  // Build the owned radios in grid cell order, then scatter them into the
+  // id-indexed table in a separate pass: interleaving random table writes
+  // with the streaming construction costs more than the extra pass. Remote
+  // nodes keep a null slot (their radio lives on the owning shard), but
+  // their positions stay indexed for bit-identical receiver walks.
+  storage_order_ = grid_->cell_order();
+  std::vector<std::unique_ptr<Transceiver>> built;
+  built.reserve(n);
+  for (const std::uint32_t id : storage_order_) {
+    if (!owns(id)) continue;
+    built.push_back(std::make_unique<Transceiver>(id, params_));
     // Channel-owned transceivers can always timestamp their own events
     // (turn_off drop records); enable_energy() re-sets the same clock.
-    transceivers_.back()->clock_ = scheduler_;
+    built.back()->clock_ = scheduler_;
+  }
+  transceivers_.resize(n);
+  for (auto& radio : built) {
+    const std::uint32_t id = radio->node_id();
+    transceivers_[id] = std::move(radio);
   }
   if (shard_.sharded()) {
     outboxes_.resize(shard_.shards);
@@ -70,6 +78,7 @@ Channel::Channel(des::Scheduler& scheduler, const geom::Terrain& terrain,
 }
 
 Channel::~Channel() {
+  util::delete_in_reverse_order(transceivers_, storage_order_);
   // Retire transmission records to the thread's spare pool so the next run
   // built on this thread starts with warmed receiver-list capacity. Clear
   // payload handles here, on the owning thread — refcounts are non-atomic.

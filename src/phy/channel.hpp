@@ -97,6 +97,14 @@ class Channel {
   }
   [[nodiscard]] Transceiver& transceiver(std::uint32_t id);
   [[nodiscard]] const Transceiver& transceiver(std::uint32_t id) const;
+  /// Every node id (owned or not) in storage order: the spatial grid's
+  /// cell order at construction. Radios are built, and destroyed in
+  /// reverse, in this order, so spatial neighbours sit in adjacent pool
+  /// memory; ids themselves are unchanged.
+  [[nodiscard]] const std::vector<std::uint32_t>& storage_order()
+      const noexcept {
+    return storage_order_;
+  }
   [[nodiscard]] geom::Vec2 position(std::uint32_t id) const;
   [[nodiscard]] const RadioParams& params() const noexcept { return params_; }
   [[nodiscard]] const PropagationModel& model() const noexcept { return *model_; }
@@ -338,7 +346,8 @@ class Channel {
   std::unique_ptr<geom::SpatialGrid> owned_grid_;
   std::shared_ptr<const geom::SpatialGrid> shared_grid_;
   const geom::SpatialGrid* grid_ = nullptr;
-  std::vector<std::unique_ptr<Transceiver>> transceivers_;
+  std::vector<std::unique_ptr<Transceiver>> transceivers_;  ///< by id
+  std::vector<std::uint32_t> storage_order_;
   des::Rng rng_;
   /// Base key of the counter-based per-link streams (des::LinkRng). Taken
   /// from rng_'s seed, which is fork-derived and therefore identical on

@@ -31,7 +31,8 @@
 // All four arrays live in ONE block carved from the thread-local
 // PayloadPool: per-instance construction is a single pool pop (and a push
 // at destruction), so scenario replications that churn whole Channels
-// stay allocation-free in steady state. Growth past the reserved capacity
+// stay allocation-free in steady state; reserve_blocks() carves the pool
+// for a whole scenario's radios up front. Growth past the reserved capacity
 // doubles the block through the pool's heap fallback — rare and bounded
 // by the densest overlap, exactly like the pooled vector it replaces.
 #pragma once
@@ -50,6 +51,14 @@ class SignalMap {
   static constexpr std::uint32_t kNoSlot = ~0u;
 
   SignalMap() { allocate_block(kReservedSignals); }
+
+  /// Carve the calling thread's block pool so `maps` more instances than
+  /// are alive now construct without touching the heap (scenario builders
+  /// call this for n radios up front).
+  static void reserve_blocks(std::size_t maps) {
+    util::PayloadPool& pool = util::payload_pool<SignalMap>();
+    pool.ensure_capacity(pool.in_use() + maps, block_bytes(kReservedSignals));
+  }
 
   ~SignalMap() {
     if (ids_ != nullptr) util::PayloadPool::release(ids_);

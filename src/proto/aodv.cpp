@@ -388,11 +388,11 @@ void AodvProtocol::on_packet(const net::PacketRef& packet,
 }
 
 
-void AodvProtocol::snapshot_metrics(obs::MetricRegistry& reg) const {
-  core::snapshot_metrics(rreq_elections_.stats(), reg);
-  net::snapshot_metrics(rreq_seen_, reg);
-  net::snapshot_metrics(rerr_seen_, reg);
-  net::snapshot_metrics(delivered_, reg);
+void AodvProtocol::accumulate_stats(net::ProtocolStats& into) const {
+  into.add(rreq_elections_.stats());
+  into.add(rreq_seen_);
+  into.add(rerr_seen_);
+  into.add(delivered_);
 }
 
 }  // namespace rrnet::proto

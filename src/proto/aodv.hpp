@@ -76,7 +76,7 @@ class AodvProtocol final : public net::Protocol {
   std::uint64_t send_data(std::uint32_t target,
                           std::uint32_t payload_bytes) override;
   const char* name() const noexcept override { return "aodv"; }
-  void snapshot_metrics(obs::MetricRegistry& reg) const override;
+  void accumulate_stats(net::ProtocolStats& into) const override;
 
   /// Routing-table introspection for tests.
   [[nodiscard]] bool has_route(std::uint32_t target) const;

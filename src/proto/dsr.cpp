@@ -352,10 +352,10 @@ void DsrProtocol::on_packet(const net::PacketRef& packet,
 }
 
 
-void DsrProtocol::snapshot_metrics(obs::MetricRegistry& reg) const {
-  net::snapshot_metrics(rreq_seen_, reg);
-  net::snapshot_metrics(rerr_seen_, reg);
-  net::snapshot_metrics(delivered_, reg);
+void DsrProtocol::accumulate_stats(net::ProtocolStats& into) const {
+  into.add(rreq_seen_);
+  into.add(rerr_seen_);
+  into.add(delivered_);
 }
 
 }  // namespace rrnet::proto

@@ -79,7 +79,7 @@ class DsrProtocol final : public net::Protocol {
   std::uint64_t send_data(std::uint32_t target,
                           std::uint32_t payload_bytes) override;
   const char* name() const noexcept override { return "dsr"; }
-  void snapshot_metrics(obs::MetricRegistry& reg) const override;
+  void accumulate_stats(net::ProtocolStats& into) const override;
 
   /// Route-cache introspection for tests.
   [[nodiscard]] bool has_cached_route(std::uint32_t target) const;

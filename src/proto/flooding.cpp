@@ -8,7 +8,7 @@
 namespace rrnet::proto {
 
 FloodingProtocol::FloodingProtocol(net::Node& node, FloodingConfig config,
-                                   std::unique_ptr<core::BackoffPolicy> policy)
+                                   std::shared_ptr<const core::BackoffPolicy> policy)
     : net::Protocol(node),
       config_(config),
       policy_(std::move(policy)),
@@ -122,9 +122,9 @@ void FloodingProtocol::on_packet(const net::PacketRef& packet,
 }
 
 
-void FloodingProtocol::snapshot_metrics(obs::MetricRegistry& reg) const {
-  core::snapshot_metrics(elections_.stats(), reg);
-  net::snapshot_metrics(seen_, reg);
+void FloodingProtocol::accumulate_stats(net::ProtocolStats& into) const {
+  into.add(elections_.stats());
+  into.add(seen_);
 }
 
 std::unique_ptr<net::MigrationBlob> FloodingProtocol::export_state() const {

@@ -59,9 +59,10 @@ struct FloodingMigrationState final : net::MigrationBlob {
 class FloodingProtocol : public net::Protocol {
  public:
   /// `policy` decides the rebroadcast backoff; counter-1 passes
-  /// UniformBackoff, SSAF passes SignalStrengthBackoff.
+  /// UniformBackoff, SSAF passes SignalStrengthBackoff. Policies are
+  /// immutable, so one instance can serve every node of a scenario.
   FloodingProtocol(net::Node& node, FloodingConfig config,
-                   std::unique_ptr<core::BackoffPolicy> policy);
+                   std::shared_ptr<const core::BackoffPolicy> policy);
 
   void start() override;
   void on_packet(const net::PacketRef& packet, const phy::RxInfo& info,
@@ -69,7 +70,7 @@ class FloodingProtocol : public net::Protocol {
   std::uint64_t send_data(std::uint32_t target,
                           std::uint32_t payload_bytes) override;
   const char* name() const noexcept override { return "flooding"; }
-  void snapshot_metrics(obs::MetricRegistry& reg) const override;
+  void accumulate_stats(net::ProtocolStats& into) const override;
 
   // Migration: the whole flooding family (blind / counter-1 / SSAF) opts
   // in. Pending work is either an armed election session or a scheduled
@@ -100,7 +101,7 @@ class FloodingProtocol : public net::Protocol {
   void relay(net::PacketRef packet, des::Time priority_delay);
 
   FloodingConfig config_;
-  std::unique_ptr<core::BackoffPolicy> policy_;
+  std::shared_ptr<const core::BackoffPolicy> policy_;
   net::DuplicateCache seen_;
   util::PooledUnorderedSet<std::uint64_t> copy_seen_;  ///< blind: (key, prev_hop)
   core::ElectionTable elections_;

@@ -219,10 +219,10 @@ void GradientProtocol::on_packet(const net::PacketRef& packet,
 }
 
 
-void GradientProtocol::snapshot_metrics(obs::MetricRegistry& reg) const {
-  net::snapshot_metrics(seen_, reg);
-  net::snapshot_metrics(relayed_, reg);
-  net::snapshot_metrics(delivered_, reg);
+void GradientProtocol::accumulate_stats(net::ProtocolStats& into) const {
+  into.add(seen_);
+  into.add(relayed_);
+  into.add(delivered_);
 }
 
 }  // namespace rrnet::proto

@@ -50,7 +50,7 @@ class GradientProtocol final : public net::Protocol {
   std::uint64_t send_data(std::uint32_t target,
                           std::uint32_t payload_bytes) override;
   const char* name() const noexcept override { return "gradient"; }
-  void snapshot_metrics(obs::MetricRegistry& reg) const override;
+  void accumulate_stats(net::ProtocolStats& into) const override;
 
   [[nodiscard]] const GradientStats& gradient_stats() const noexcept {
     return stats_;

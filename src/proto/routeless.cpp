@@ -459,11 +459,11 @@ void RoutelessProtocol::on_packet(const net::PacketRef& packet,
 }
 
 
-void RoutelessProtocol::snapshot_metrics(obs::MetricRegistry& reg) const {
-  core::snapshot_metrics(elections_.stats(), reg);
-  core::snapshot_metrics(arbiter_.stats(), reg);
-  net::snapshot_metrics(seen_, reg);
-  net::snapshot_metrics(delivered_, reg);
+void RoutelessProtocol::accumulate_stats(net::ProtocolStats& into) const {
+  into.add(elections_.stats());
+  into.add(arbiter_.stats());
+  into.add(seen_);
+  into.add(delivered_);
 }
 
 }  // namespace rrnet::proto

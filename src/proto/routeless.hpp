@@ -79,7 +79,7 @@ class RoutelessProtocol final : public net::Protocol {
   std::uint64_t send_data(std::uint32_t target,
                           std::uint32_t payload_bytes) override;
   const char* name() const noexcept override { return "routeless"; }
-  void snapshot_metrics(obs::MetricRegistry& reg) const override;
+  void accumulate_stats(net::ProtocolStats& into) const override;
 
   /// Active-node-table lookup (paper §4.1); 0 hops = the node itself.
   [[nodiscard]] bool knows_target(std::uint32_t target) const;

@@ -1,5 +1,7 @@
 #include "proto/ssaf.hpp"
 
+#include <utility>
+
 namespace rrnet::proto {
 
 namespace {
@@ -14,10 +16,15 @@ FloodingConfig to_flooding_config(const SsafConfig& config) {
 }
 }  // namespace
 
-SsafProtocol::SsafProtocol(net::Node& node, SsafConfig config)
-    : FloodingProtocol(node, to_flooding_config(config),
-                       std::make_unique<core::SignalStrengthBackoff>(
-                           config.lambda, config.jitter_fraction)) {}
+std::shared_ptr<const core::BackoffPolicy> make_ssaf_policy(
+    const SsafConfig& config) {
+  return std::make_shared<const core::SignalStrengthBackoff>(
+      config.lambda, config.jitter_fraction);
+}
+
+SsafProtocol::SsafProtocol(net::Node& node, const SsafConfig& config,
+                           std::shared_ptr<const core::BackoffPolicy> policy)
+    : FloodingProtocol(node, to_flooding_config(config), std::move(policy)) {}
 
 std::unique_ptr<net::Protocol> make_counter1_flooding(net::Node& node,
                                                       des::Time lambda,
@@ -30,7 +37,8 @@ std::unique_ptr<net::Protocol> make_counter1_flooding(net::Node& node,
 }
 
 std::unique_ptr<net::Protocol> make_ssaf(net::Node& node, SsafConfig config) {
-  return std::make_unique<SsafProtocol>(node, config);
+  return std::make_unique<SsafProtocol>(node, config,
+                                        make_ssaf_policy(config));
 }
 
 }  // namespace rrnet::proto

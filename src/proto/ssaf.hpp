@@ -26,13 +26,21 @@ struct SsafConfig {
   std::uint32_t counter_threshold = 1;
 };
 
+/// The signal-strength backoff `config` describes. Immutable: a scenario
+/// builds one and hands it to every node.
+[[nodiscard]] std::shared_ptr<const core::BackoffPolicy> make_ssaf_policy(
+    const SsafConfig& config);
+
 class SsafProtocol final : public FloodingProtocol {
  public:
-  SsafProtocol(net::Node& node, SsafConfig config = {});
+  /// `policy` is normally make_ssaf_policy(config), shared across nodes.
+  SsafProtocol(net::Node& node, const SsafConfig& config,
+               std::shared_ptr<const core::BackoffPolicy> policy);
   const char* name() const noexcept override { return "ssaf"; }
 };
 
-/// Factory helpers mirroring the paper's two Figure-1 contenders.
+/// Factory helpers mirroring the paper's two Figure-1 contenders; each call
+/// builds its own backoff policy.
 [[nodiscard]] std::unique_ptr<net::Protocol> make_counter1_flooding(
     net::Node& node, des::Time lambda = 10e-3, std::uint8_t ttl = 32);
 [[nodiscard]] std::unique_ptr<net::Protocol> make_ssaf(net::Node& node,

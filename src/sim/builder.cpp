@@ -22,6 +22,12 @@ void for_each_object_pool(Fn&& fn) {
   }
 }
 
+proto::SsafConfig ssaf_config(const ScenarioConfig& config) {
+  proto::SsafConfig sc = config.ssaf;
+  sc.ttl = config.flood_ttl;
+  return sc;
+}
+
 }  // namespace
 
 std::unique_ptr<phy::PropagationModel> SimInstance::make_propagation(
@@ -44,28 +50,37 @@ std::unique_ptr<phy::PropagationModel> SimInstance::make_propagation(
   return std::make_unique<phy::FreeSpace>(f);
 }
 
-void SimInstance::attach_protocol(const ScenarioConfig& config,
-                                  net::Node& node) {
+std::shared_ptr<const core::BackoffPolicy> SimInstance::make_flood_policy(
+    const ScenarioConfig& config) {
   switch (config.protocol) {
     case ProtocolKind::Counter1Flooding:
-      node.set_protocol(proto::make_counter1_flooding(node, config.flood_lambda,
-                                                      config.flood_ttl));
-      return;
-    case ProtocolKind::Ssaf: {
-      proto::SsafConfig sc = config.ssaf;
-      sc.ttl = config.flood_ttl;
-      node.set_protocol(proto::make_ssaf(node, sc));
-      return;
-    }
+    case ProtocolKind::BlindFlooding:
+      return std::make_shared<const core::UniformBackoff>(config.flood_lambda);
+    case ProtocolKind::Ssaf:
+      return proto::make_ssaf_policy(ssaf_config(config));
+    default:
+      return nullptr;
+  }
+}
+
+void SimInstance::attach_protocol(
+    const ScenarioConfig& config, net::Node& node,
+    const std::shared_ptr<const core::BackoffPolicy>& flood_policy) {
+  switch (config.protocol) {
+    case ProtocolKind::Counter1Flooding:
     case ProtocolKind::BlindFlooding: {
       proto::FloodingConfig fc;
       fc.lambda = config.flood_lambda;
       fc.ttl = config.flood_ttl;
-      fc.blind = true;
-      node.set_protocol(std::make_unique<proto::FloodingProtocol>(
-          node, fc, std::make_unique<core::UniformBackoff>(config.flood_lambda)));
+      fc.blind = config.protocol == ProtocolKind::BlindFlooding;
+      node.set_protocol(
+          std::make_unique<proto::FloodingProtocol>(node, fc, flood_policy));
       return;
     }
+    case ProtocolKind::Ssaf:
+      node.set_protocol(std::make_unique<proto::SsafProtocol>(
+          node, ssaf_config(config), flood_policy));
+      return;
     case ProtocolKind::Routeless:
       node.set_protocol(
           std::make_unique<proto::RoutelessProtocol>(node, config.routeless));
@@ -134,6 +149,7 @@ void SimInstance::reserve_node_pools(const ScenarioConfig& config,
     util::PayloadPool& pool = util::sized_pool(rounded);
     pool.ensure_capacity(pool.in_use() + need[i], rounded);
   }
+  phy::SignalMap::reserve_blocks(nodes);
 }
 
 SimInstance::SimInstance(const ScenarioConfig& config)
@@ -184,9 +200,10 @@ SimInstance::SimInstance(const ScenarioConfig& config)
       scheduler_, terrain_, std::move(model), radio, config_.mac,
       std::move(positions), root.fork("network"));
 
-  for (std::uint32_t id = 0; id < network_->size(); ++id) {
-    attach_protocol(config_, network_->node(id));
-    app::attach_sink(network_->node(id), flows_);
+  flood_policy_ = make_flood_policy(config_);
+  for (net::Node* node : network_->nodes_in_storage_order()) {
+    attach_protocol(config_, *node, flood_policy_);
+    app::attach_sink(*node, flows_);
   }
 
   // Traffic pairs.

@@ -7,6 +7,7 @@
 
 #include "app/cbr.hpp"
 #include "app/flow_stats.hpp"
+#include "core/backoff_policy.hpp"
 #include "des/scheduler.hpp"
 #include "geom/terrain.hpp"
 #include "net/network.hpp"
@@ -53,12 +54,20 @@ class SimInstance {
   /// Build the propagation model a config describes (also used by tests).
   [[nodiscard]] static std::unique_ptr<phy::PropagationModel>
   make_propagation(const ScenarioConfig& config);
-  /// Attach the configured protocol type to one node.
-  static void attach_protocol(const ScenarioConfig& config, net::Node& node);
+  /// The rebroadcast backoff policy of the configured flooding-family
+  /// protocol (null for every other protocol). Immutable: one per scenario
+  /// (per shard) is shared by all of its nodes.
+  [[nodiscard]] static std::shared_ptr<const core::BackoffPolicy>
+  make_flood_policy(const ScenarioConfig& config);
+  /// Attach the configured protocol type to one node; `flood_policy` is
+  /// make_flood_policy(config).
+  static void attach_protocol(
+      const ScenarioConfig& config, net::Node& node,
+      const std::shared_ptr<const core::BackoffPolicy>& flood_policy);
   /// Pre-carve the calling thread's size-class pools for `nodes` node
-  /// stacks (node + transceiver + MAC + the configured protocol), so
-  /// large-n construction is a handful of arena carves instead of O(n)
-  /// pool-exhaustion heap fallbacks. Only the shortfall beyond what the
+  /// stacks (node + transceiver and its signal map + MAC + the configured
+  /// protocol), so large-n construction is a handful of arena carves
+  /// instead of O(n) pool-exhaustion heap fallbacks. Only the shortfall beyond what the
   /// thread's pools already hold is carved — small runs are untouched.
   static void reserve_node_pools(const ScenarioConfig& config,
                                  std::size_t nodes);
@@ -67,6 +76,7 @@ class SimInstance {
   ScenarioConfig config_;
   des::Scheduler scheduler_;
   geom::Terrain terrain_;
+  std::shared_ptr<const core::BackoffPolicy> flood_policy_;
   std::unique_ptr<net::Network> network_;
   app::FlowStats flows_;
   std::vector<std::unique_ptr<app::CbrSource>> sources_;

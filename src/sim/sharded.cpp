@@ -43,6 +43,8 @@ void for_each_object_pool(Fn&& fn) {
 /// the barriers that make that race-free).
 struct ShardWorld {
   des::Scheduler scheduler;
+  /// SimInstance::make_flood_policy, shared by this shard's nodes.
+  std::shared_ptr<const core::BackoffPolicy> flood_policy;
   std::unique_ptr<net::Network> network;
   app::FlowStats flows;
   std::vector<std::unique_ptr<app::CbrSource>> sources;
@@ -157,10 +159,10 @@ std::unique_ptr<ShardWorld> build_shard(const BuildPlan& plan,
       root.fork("network"), std::move(spec), plan.shared_index);
 
   net::Network& network = *world->network;
-  for (std::uint32_t id = 0; id < network.size(); ++id) {
-    if (!network.has_node(id)) continue;
-    SimInstance::attach_protocol(config, network.node(id));
-    app::attach_sink(network.node(id), world->flows);
+  world->flood_policy = SimInstance::make_flood_policy(config);
+  for (net::Node* node : network.nodes_in_storage_order()) {
+    SimInstance::attach_protocol(config, *node, world->flood_policy);
+    app::attach_sink(*node, world->flows);
   }
 
   app::CbrConfig cbr;
@@ -648,7 +650,7 @@ ScenarioResult run_scenario_sharded(const ScenarioConfig& config,
             if (rec.dst >= lo && rec.dst < hi) {
               ShardWorld& world = *worlds[rec.dst];
               net::Node& node = world.network->adopt_node(rec.node);
-              SimInstance::attach_protocol(config, node);
+              SimInstance::attach_protocol(config, node, world.flood_policy);
               app::attach_sink(node, world.flows);
               node.protocol().start();
               world.network->channel().restore_frame_counter(

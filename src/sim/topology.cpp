@@ -1,7 +1,10 @@
 #include "sim/topology.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <queue>
 
+#include "geom/spatial_grid.hpp"
 #include "util/contracts.hpp"
 
 namespace rrnet::sim {
@@ -22,13 +25,44 @@ Topology::Topology(const phy::Channel& channel)
 
 Topology::Topology(const std::vector<geom::Vec2>& positions, double range_m)
     : adjacency_(positions.size()) {
-  const double range_sq = range_m * range_m;
   const auto n = static_cast<std::uint32_t>(positions.size());
+  if (n == 0) return;
+  // Candidates come from grid range queries; the exact test below is the
+  // one an all-pairs scan applies, and query output is sorted by id, so
+  // every list is the same ascending list that scan builds. The grid wants
+  // coordinates inside [0, w] x [0, h]: it indexes positions shifted to the
+  // bounding box, queried with a little slack for the shift's rounding,
+  // while the edge test uses the original coordinates.
+  geom::Vec2 lo = positions[0];
+  geom::Vec2 hi = positions[0];
+  for (const geom::Vec2 p : positions) {
+    lo = {std::min(lo.x, p.x), std::min(lo.y, p.y)};
+    hi = {std::max(hi.x, p.x), std::max(hi.y, p.y)};
+  }
+  std::vector<geom::Vec2> shifted;
+  shifted.reserve(n);
+  for (const geom::Vec2 p : positions) shifted.push_back(p - lo);
+  const double width = hi.x - lo.x;
+  const double height = hi.y - lo.y;
+  // Cells of at least the range (a query scans 3x3) and never many more
+  // cells than nodes.
+  const double cell = std::max(
+      {range_m, std::sqrt(width * height / n),
+       std::max(width, height) / (4.0 * n), 1e-9});
+  const geom::SpatialGrid grid(
+      geom::Terrain(std::max(width, cell), std::max(height, cell)), cell,
+      shifted);
+  const double magnitude = std::max({std::abs(lo.x), std::abs(lo.y),
+                                     std::abs(hi.x), std::abs(hi.y)});
+  const double slack = 1e-9 * (range_m + magnitude);
+  const double range_sq = range_m * range_m;
+  std::vector<std::uint32_t> candidates;
   for (std::uint32_t i = 0; i < n; ++i) {
-    for (std::uint32_t j = i + 1; j < n; ++j) {
-      if (geom::distance_sq(positions[i], positions[j]) <= range_sq) {
+    grid.query(shifted[i], range_m + slack, candidates);
+    for (const std::uint32_t j : candidates) {
+      if (j != i &&
+          geom::distance_sq(positions[i], positions[j]) <= range_sq) {
         adjacency_[i].push_back(j);
-        adjacency_[j].push_back(i);
       }
     }
   }

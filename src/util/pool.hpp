@@ -255,4 +255,29 @@ struct PoolAllocated {
   static void operator delete(void* p) noexcept { PayloadPool::release(p); }
 };
 
+/// The objects of an id-indexed table (null slots skipped) in `order`,
+/// gathered in a pass of their own: a loop over the result that builds or
+/// deletes objects then streams over memory with no table lookups between.
+template <typename T>
+std::vector<T*> gather_in_order(const std::vector<std::unique_ptr<T>>& table,
+                                const std::vector<std::uint32_t>& order) {
+  std::vector<T*> ordered;
+  ordered.reserve(table.size());
+  for (const std::uint32_t id : order) {
+    if (table[id] != nullptr) ordered.push_back(table[id].get());
+  }
+  return ordered;
+}
+
+/// Delete the objects of an id-indexed table in the reverse of `order`, the
+/// order they were built in. The pools' LIFO free lists then hand the next
+/// build on this thread ascending addresses, as a fresh carve does.
+template <typename T>
+void delete_in_reverse_order(std::vector<std::unique_ptr<T>>& table,
+                             const std::vector<std::uint32_t>& order) {
+  const std::vector<T*> ordered = gather_in_order(table, order);
+  for (auto& slot : table) (void)slot.release();
+  for (auto it = ordered.rbegin(); it != ordered.rend(); ++it) delete *it;
+}
+
 }  // namespace rrnet::util

@@ -1,10 +1,12 @@
 #include <limits>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "des/scheduler.hpp"
+#include "geom/spatial_grid.hpp"
 #include "phy/channel.hpp"
 #include "phy/units.hpp"
 
@@ -388,6 +390,34 @@ TEST_F(ChannelHandoffTest, ClearOutboxesDropsPendingHandoffs) {
   shard_[0]->clear_outboxes();
   EXPECT_TRUE(shard_[0]->outbox(1).empty());
   scheduler_[0].run();
+}
+
+TEST(ChannelStorageOrder, RadiosFollowGridCellOrderInMemory) {
+  // Nodes placed in reverse spatial order: id order and cell order differ.
+  std::vector<geom::Vec2> positions;
+  for (int i = 0; i < 64; ++i) {
+    positions.push_back({4900.0 - 75.0 * i, 100.0 + 13.0 * (i % 7)});
+  }
+  RadioParams params;
+  params.tx_power_dbm = tx_power_for_range(FreeSpace{}, 250.0,
+                                           params.rx_threshold_dbm);
+  // A fresh thread has fresh pools: radios are built in storage order
+  // from a new carve, so their addresses ascend along that order.
+  std::thread([&] {
+    des::Scheduler scheduler;
+    const geom::Terrain terrain(5000.0, 1000.0);
+    const Channel channel(scheduler, terrain, std::make_unique<FreeSpace>(),
+                          params, positions, des::Rng(1));
+    const geom::SpatialGrid grid(terrain, channel.interference_range_m(),
+                                 positions);
+    const std::vector<std::uint32_t>& order = channel.storage_order();
+    EXPECT_EQ(order, grid.cell_order());
+    EXPECT_NE(order.front(), 0u);
+    for (std::size_t i = 1; i < order.size(); ++i) {
+      EXPECT_LT(&channel.transceiver(order[i - 1]),
+                &channel.transceiver(order[i]));
+    }
+  }).join();
 }
 
 TEST_F(ChannelTest, FrameIdsAreUnique) {

@@ -97,9 +97,9 @@ class CsmaTest : public ::testing::Test {
         std::make_unique<phy::FreeSpace>(), radio, positions, des::Rng(1));
     listeners_ = std::vector<NetListener>(xs.size());
     for (std::uint32_t i = 0; i < xs.size(); ++i) {
-      macs_.push_back(std::make_unique<CsmaMac>(*channel_, i, params,
-                                                des::Rng(100 + i),
-                                                listeners_[i]));
+      macs_.push_back(std::make_unique<CsmaMac>(
+          *channel_, channel_->transceiver(i), params, des::Rng(100 + i),
+          listeners_[i]));
     }
   }
 

@@ -3,9 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
+
+#include "sim/builder.hpp"
 #include "sim/replication.hpp"
 #include "sim/runner.hpp"
 #include "sim/sweep.hpp"
+#include "test_helpers.hpp"
 
 namespace rrnet::sim {
 namespace {
@@ -132,6 +139,214 @@ void expect_bit_identical(const util::Summary& a, const util::Summary& b,
   EXPECT_EQ(bits(a.min), bits(b.min)) << what << ".min";
   EXPECT_EQ(bits(a.max), bits(b.max)) << what << ".max";
   EXPECT_EQ(bits(a.ci95), bits(b.ci95)) << what << ".ci95";
+}
+
+constexpr ProtocolKind kAllProtocols[] = {
+    ProtocolKind::Counter1Flooding, ProtocolKind::Ssaf,
+    ProtocolKind::BlindFlooding,    ProtocolKind::Routeless,
+    ProtocolKind::Aodv,             ProtocolKind::Gradient,
+    ProtocolKind::Dsdv,             ProtocolKind::Dsr};
+
+/// Registry entries outside the engine-internal des.* / pool.* families.
+std::vector<obs::Metric> layer_metrics(const obs::MetricRegistry& reg) {
+  std::vector<obs::Metric> out;
+  for (obs::Metric& metric : reg.snapshot()) {
+    if (metric.name.rfind("des.", 0) == 0 ||
+        metric.name.rfind("pool.", 0) == 0) {
+      continue;
+    }
+    out.push_back(std::move(metric));
+  }
+  return out;
+}
+
+void expect_same_metrics(const std::vector<obs::Metric>& got,
+                         const std::vector<obs::Metric>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].name, want[i].name);
+    EXPECT_EQ(got[i].kind, want[i].kind) << got[i].name;
+    EXPECT_EQ(got[i].value, want[i].value) << got[i].name;
+  }
+}
+
+/// small_scenario with more nodes, pairs and traffic, and fast random
+/// waypoint mobility: busy enough that every duplicate cache a protocol
+/// keeps records hits, except AODV's and DSR's route-error caches.
+ScenarioConfig busy_scenario(ProtocolKind protocol) {
+  ScenarioConfig config = small_scenario(protocol);
+  config.nodes = 60;
+  config.width_m = 900.0;
+  config.height_m = 900.0;
+  config.pairs = 6;
+  config.cbr_interval = 0.2;
+  config.traffic_stop = 15.0;
+  config.sim_end = 20.0;
+  config.mobility = true;
+  config.mobility_min_speed_mps = 10.0;
+  config.mobility_max_speed_mps = 30.0;
+  config.mobility_pause_s = 0.5;
+  return config;
+}
+
+/// Protocol-family totals (election.*, arbiter.*, net.dup_cache_*) that
+/// busy_scenario reports, pinned per protocol. The reference walk takes its
+/// protocol counters from accumulate_stats itself, so these fixed values are
+/// what catch a protocol that stops reporting a cache, election or arbiter.
+struct FamilyTotals {
+  ProtocolKind kind;
+  std::vector<std::pair<std::string, std::uint64_t>> totals;
+};
+
+const std::vector<FamilyTotals>& pinned_family_totals() {
+  static const std::vector<FamilyTotals> pinned = {
+      {ProtocolKind::Counter1Flooding,
+       {{"election.armed", 15488}, {"election.cancelled_ack", 0},
+        {"election.cancelled_duplicate", 0},
+        {"election.cancelled_superseded", 0}, {"election.won", 15488},
+        {"net.dup_cache_evictions", 0}, {"net.dup_cache_hits", 60234}}},
+      {ProtocolKind::Ssaf,
+       {{"election.armed", 15989}, {"election.cancelled_ack", 0},
+        {"election.cancelled_duplicate", 3339},
+        {"election.cancelled_superseded", 0}, {"election.won", 12650},
+        {"net.dup_cache_evictions", 0}, {"net.dup_cache_hits", 53184}}},
+      {ProtocolKind::BlindFlooding,
+       {{"election.armed", 0}, {"election.cancelled_ack", 0},
+        {"election.cancelled_duplicate", 0},
+        {"election.cancelled_superseded", 0}, {"election.won", 0},
+        {"net.dup_cache_evictions", 0}, {"net.dup_cache_hits", 58652}}},
+      {ProtocolKind::Routeless,
+       {{"arbiter.gave_up", 873}, {"arbiter.relays_heard", 3108},
+        {"arbiter.retransmits", 4467}, {"arbiter.watches", 4520},
+        {"election.armed", 11937}, {"election.cancelled_ack", 1289},
+        {"election.cancelled_duplicate", 6324},
+        {"election.cancelled_superseded", 0}, {"election.won", 4310},
+        {"net.dup_cache_evictions", 0}, {"net.dup_cache_hits", 70677}}},
+      {ProtocolKind::Aodv,
+       {{"election.armed", 0}, {"election.cancelled_ack", 0},
+        {"election.cancelled_duplicate", 0},
+        {"election.cancelled_superseded", 0}, {"election.won", 0},
+        {"net.dup_cache_evictions", 0}, {"net.dup_cache_hits", 98839}}},
+      {ProtocolKind::Gradient,
+       {{"net.dup_cache_evictions", 0}, {"net.dup_cache_hits", 24892}}},
+      {ProtocolKind::Dsdv, {}},
+      {ProtocolKind::Dsr,
+       {{"net.dup_cache_evictions", 0}, {"net.dup_cache_hits", 11126}}},
+  };
+  return pinned;
+}
+
+TEST(Harvest, ProtocolFamilyTotalsArePinned) {
+  for (const FamilyTotals& want : pinned_family_totals()) {
+    SCOPED_TRACE(to_string(want.kind));
+    const ScenarioResult result = run_scenario(busy_scenario(want.kind));
+    std::vector<std::pair<std::string, std::uint64_t>> got;
+    for (const obs::Metric& metric : result.metrics.snapshot()) {
+      if (metric.name.rfind("election.", 0) == 0 ||
+          metric.name.rfind("arbiter.", 0) == 0 ||
+          metric.name.rfind("net.dup_cache_", 0) == 0) {
+        got.emplace_back(metric.name, metric.value);
+      }
+    }
+    EXPECT_EQ(got, want.totals);
+  }
+}
+
+TEST(Harvest, StructSumsMatchPerNodeRegistryWalk) {
+  for (const ProtocolKind kind : kAllProtocols) {
+    SCOPED_TRACE(to_string(kind));
+    SimInstance sim(small_scenario(kind));
+    sim.run();
+    const ScenarioResult result = sim.result();
+    obs::MetricRegistry reference;
+    rrnet::testing::reference_snapshot_metrics(sim.network(), reference);
+    EXPECT_GT(reference.value(obs::metric::kPhySignalsArrived), 0u);
+    expect_same_metrics(layer_metrics(result.metrics),
+                        reference.snapshot());
+    // Each family is present exactly when the protocol keeps it.
+    const bool elects = kind == ProtocolKind::Counter1Flooding ||
+                        kind == ProtocolKind::Ssaf ||
+                        kind == ProtocolKind::BlindFlooding ||
+                        kind == ProtocolKind::Routeless ||
+                        kind == ProtocolKind::Aodv;
+    EXPECT_EQ(result.metrics.contains(obs::metric::kElectionArmed), elects);
+    EXPECT_EQ(result.metrics.contains(obs::metric::kArbiterWatches),
+              kind == ProtocolKind::Routeless);
+    EXPECT_EQ(result.metrics.contains(obs::metric::kNetDupCacheHits),
+              kind != ProtocolKind::Dsdv);
+  }
+}
+
+/// Everything a run reports, pool deltas included.
+struct RunOutcome {
+  std::uint64_t sent = 0;
+  std::uint64_t delivered = 0;
+  double delay = 0.0;
+  std::vector<obs::Metric> metrics;
+};
+
+RunOutcome run_outcome(const ScenarioConfig& config) {
+  const ScenarioResult r = run_scenario(config);
+  return {r.sent, r.delivered, r.mean_delay_s, r.metrics.snapshot()};
+}
+
+void expect_same_outcome(const RunOutcome& got, const RunOutcome& want) {
+  EXPECT_EQ(got.sent, want.sent);
+  EXPECT_EQ(got.delivered, want.delivered);
+  EXPECT_EQ(got.delay, want.delay);
+  expect_same_metrics(got.metrics, want.metrics);
+}
+
+TEST(Harvest, BackToBackRunsOnOneThreadMatchFreshThreads) {
+  // Teardown returns every node's memory to this thread's pools in reverse
+  // storage order; the next scenario built on the thread must reproduce
+  // what it reports on a thread of its own, pool deltas included.
+  ScenarioConfig first = small_scenario(ProtocolKind::Ssaf);
+  first.nodes = 120;
+  first.width_m = 1200.0;
+  first.height_m = 1200.0;
+  ScenarioConfig second = small_scenario(ProtocolKind::Routeless);
+  second.seed = 29;
+  const auto on_fresh_thread = [](const ScenarioConfig& config) {
+    RunOutcome out;
+    std::thread([&] { out = run_outcome(config); }).join();
+    return out;
+  };
+  const RunOutcome first_fresh = on_fresh_thread(first);
+  const RunOutcome second_fresh = on_fresh_thread(second);
+  RunOutcome first_shared, second_shared, first_again;
+  std::thread([&] {
+    first_shared = run_outcome(first);
+    second_shared = run_outcome(second);
+    first_again = run_outcome(first);
+  }).join();
+  expect_same_outcome(first_shared, first_fresh);
+  expect_same_outcome(second_shared, second_fresh);
+  expect_same_outcome(first_again, first_fresh);
+}
+
+TEST(Harvest, RebuiltScenarioGetsAscendingNodeMemory) {
+  // Nodes are built in storage order and destroyed in reverse, so a
+  // scenario rebuilt on the same thread takes its node stacks from the
+  // freed chunks in ascending address order, as from a fresh carve.
+  const ScenarioConfig config = small_scenario(ProtocolKind::Ssaf);
+  std::thread([&] {
+    for (int build = 0; build < 3; ++build) {
+      SimInstance sim(config);
+      std::vector<const void*> nodes;
+      std::vector<const void*> radios;
+      sim.network().for_each_node([&](net::Node& node) {
+        nodes.push_back(&node);
+        radios.push_back(&node.mac().radio());
+      });
+      ASSERT_EQ(nodes.size(), config.nodes);
+      for (std::size_t i = 1; i < nodes.size(); ++i) {
+        EXPECT_LT(nodes[i - 1], nodes[i]) << "build " << build;
+        EXPECT_LT(radios[i - 1], radios[i]) << "build " << build;
+      }
+      sim.run();
+    }
+  }).join();
 }
 
 TEST(Replication, ParallelIsBitIdenticalToSerial) {

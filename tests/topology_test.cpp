@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "sim/runner.hpp"
 #include "sim/topology.hpp"
 #include "test_helpers.hpp"
@@ -46,6 +48,74 @@ TEST(Topology, BoundsChecked) {
                rrnet::ContractViolation);
   EXPECT_THROW(static_cast<void>(topology.hop_distance(0, 9)),
                rrnet::ContractViolation);
+}
+
+/// The all-pairs scan the grid-backed constructor replaced: the reference
+/// adjacency, ascending ids per list.
+std::vector<std::vector<std::uint32_t>> brute_force_adjacency(
+    const std::vector<geom::Vec2>& positions, double range_m) {
+  std::vector<std::vector<std::uint32_t>> adjacency(positions.size());
+  const double range_sq = range_m * range_m;
+  const auto n = static_cast<std::uint32_t>(positions.size());
+  for (std::uint32_t i = 0; i < n; ++i) {
+    for (std::uint32_t j = i + 1; j < n; ++j) {
+      if (geom::distance_sq(positions[i], positions[j]) <= range_sq) {
+        adjacency[i].push_back(j);
+        adjacency[j].push_back(i);
+      }
+    }
+  }
+  return adjacency;
+}
+
+void expect_matches_brute_force(const std::vector<geom::Vec2>& positions,
+                                double range_m) {
+  const Topology topology(positions, range_m);
+  const auto reference = brute_force_adjacency(positions, range_m);
+  ASSERT_EQ(topology.node_count(), reference.size());
+  for (std::uint32_t i = 0; i < reference.size(); ++i) {
+    EXPECT_EQ(topology.neighbors(i), reference[i]) << "node " << i;
+  }
+}
+
+TEST(Topology, MatchesBruteForceOnRandomLayouts) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    des::Rng rng(seed);
+    const double width = 800.0 + 400.0 * static_cast<double>(seed);
+    const std::size_t n = 40 + 60 * seed;
+    std::vector<geom::Vec2> positions;
+    for (std::size_t i = 0; i < n; ++i) {
+      positions.push_back(
+          {rng.uniform(0.0, width), rng.uniform(0.0, width / 2.0)});
+    }
+    // Integer anchors with partners exactly 250 m away (axis-aligned and
+    // 150/200/250 triangles: every coordinate and square is exact), so
+    // edges at distance == range exist, plus one just beyond it.
+    for (int k = 0; k < 8; ++k) {
+      const geom::Vec2 a{static_cast<double>(rng.uniform_int(300, 500)),
+                         static_cast<double>(rng.uniform_int(300, 500))};
+      positions.push_back(a);
+      positions.push_back({a.x + 250.0, a.y});
+      positions.push_back({a.x, a.y - 250.0});
+      positions.push_back({a.x - 150.0, a.y + 200.0});
+      positions.push_back({std::nextafter(a.x + 250.0, 1e9), a.y + 0.0});
+    }
+    SCOPED_TRACE(seed);
+    expect_matches_brute_force(positions, 250.0);
+  }
+}
+
+TEST(Topology, EdgesExactlyAtTheRange) {
+  const std::vector<geom::Vec2> positions{
+      {100.0, 100.0},                          // 0
+      {350.0, 100.0},                          // 1: 250 m from 0
+      {250.0, 300.0},                          // 2: 250 m from 0 (150/200)
+      {std::nextafter(350.0, 1e9), 100.0},     // 3: just beyond 0's range
+      {-150.0, 100.0}};                        // 4: 250 m from 0, x < 0
+  const Topology topology(positions, 250.0);
+  EXPECT_EQ(topology.neighbors(0), (std::vector<std::uint32_t>{1, 2, 4}));
+  EXPECT_EQ(topology.neighbors(3), (std::vector<std::uint32_t>{1, 2}));
+  expect_matches_brute_force(positions, 250.0);
 }
 
 TEST(DrawConnectedPairs, AllPairsReachableAndFarEnough) {
