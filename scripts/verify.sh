@@ -78,10 +78,6 @@ cmake -B build-sanitize -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DRRNET_TRACE=ON \
       "-DRRNET_SANITIZE=address;undefined" >/dev/null
 cmake --build build-sanitize -j "$JOBS"
-# Pin the ladder backend for the sanitized run: the ladder exercises the
-# bucket/rung machinery everywhere, and the backend cross-check tests
-# instantiate the quad-heap explicitly, so ASan/UBSan sweep both queues.
-RRNET_SCHED_QUEUE=ladder \
 ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=print_stacktrace=1 \
   ctest --test-dir build-sanitize --output-on-failure -j "$JOBS"
 

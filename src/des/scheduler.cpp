@@ -1,7 +1,5 @@
 #include "des/scheduler.hpp"
 
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <utility>
 
@@ -13,20 +11,6 @@
 #endif
 
 namespace rrnet::des {
-
-QueueBackend default_queue_backend() noexcept {
-  // Read once: the env var selects a backend for the whole process (it
-  // exists so CI can sweep both implementations, not for runtime toggling).
-  static const QueueBackend backend = []() noexcept {
-    const char* const env = std::getenv("RRNET_SCHED_QUEUE");
-    if (env != nullptr &&
-        (std::strcmp(env, "heap") == 0 || std::strcmp(env, "quad") == 0)) {
-      return QueueBackend::Heap;
-    }
-    return QueueBackend::Ladder;
-  }();
-  return backend;
-}
 
 std::uint32_t Scheduler::acquire_slot() {
   if (!free_slots_.empty()) {
@@ -46,7 +30,7 @@ EventId Scheduler::schedule_at(Time t, Callback cb) {
   s.callback = std::move(cb);
   s.live = true;
   ++live_;
-  queue_push(HeapEntry{t, next_sequence_++, slot, s.generation});
+  queue_.push(HeapEntry{t, next_sequence_++, slot, s.generation});
   return EventId{slot, s.generation};
 }
 
@@ -72,11 +56,11 @@ bool Scheduler::pending(EventId id) const noexcept {
 }
 
 bool Scheduler::settle_top() noexcept {
-  while (!queue_empty()) {
-    const HeapEntry& top = queue_top();
+  while (!queue_.empty()) {
+    const HeapEntry& top = queue_.top();
     const Slot& s = slots_[top.slot];
     if (s.live && s.generation == top.generation) return true;
-    queue_pop();  // cancelled; its slot was already recycled
+    queue_.pop();  // cancelled; its slot was already recycled
   }
   return false;
 }
@@ -88,8 +72,8 @@ bool Scheduler::step() {
   // once per peek).
   HeapEntry top;
   for (;;) {
-    if (queue_empty()) return false;
-    top = queue_pop_top();
+    if (queue_.empty()) return false;
+    top = queue_.pop_top();
     const Slot& dead = slots_[top.slot];
     if (dead.live && dead.generation == top.generation) break;
   }
@@ -128,13 +112,13 @@ void Scheduler::run() {
 }
 
 Time Scheduler::next_event_time() noexcept {
-  return settle_top() ? queue_top().time
+  return settle_top() ? queue_.top().time
                       : std::numeric_limits<Time>::infinity();
 }
 
 void Scheduler::run_until(Time t_end) {
   RRNET_EXPECTS(t_end >= now_);
-  while (settle_top() && queue_top().time <= t_end) {
+  while (settle_top() && queue_.top().time <= t_end) {
     step();
   }
   now_ = t_end;
@@ -143,7 +127,7 @@ void Scheduler::run_until(Time t_end) {
 bool Scheduler::run_until(Time t_end, std::uint64_t max_events) {
   RRNET_EXPECTS(t_end >= now_);
   std::uint64_t executed = 0;
-  while (settle_top() && queue_top().time <= t_end) {
+  while (settle_top() && queue_.top().time <= t_end) {
     if (executed == max_events) return false;
     step();
     ++executed;

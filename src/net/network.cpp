@@ -101,7 +101,7 @@ void Network::remove_observer(PacketObserver* observer) noexcept {
 }
 
 void Network::snapshot_metrics(obs::MetricRegistry& reg,
-                               obs::Histogram* backoff_slots_out) const {
+                               obs::Histogram& backoff_slots) const {
   namespace m = obs::metric;
   const phy::ChannelStats& ch = channel_->stats();
   reg.add(m::kPhyTransmissions, ch.transmissions);
@@ -171,11 +171,7 @@ void Network::snapshot_metrics(obs::MetricRegistry& reg,
     reg.add(m::kNetDupCacheHits, proto.dup_cache.hits);
     reg.add(m::kNetDupCacheEvictions, proto.dup_cache.evictions);
   }
-  if (backoff_slots_out != nullptr) {
-    backoff_slots_out->merge(mac.backoff_slots);
-  } else if (!mac.backoff_slots.empty()) {
-    mac.backoff_slots.snapshot_into(reg, m::kMacBackoffSlots);
-  }
+  backoff_slots.merge(mac.backoff_slots);
 }
 
 }  // namespace rrnet::net

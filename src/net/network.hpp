@@ -110,12 +110,11 @@ class Network {
 
   /// Sum every layer's per-node counters (PHY, MAC, net, per-protocol) and
   /// add the totals to `reg`. Pure observation: never mutates simulation
-  /// state. When `backoff_slots_out` is non-null the raw backoff histogram
-  /// is merged into it INSTEAD of being flattened into `reg` — percentile
-  /// entries do not compose across registries, so a sharded run collects
-  /// the raw buckets per shard and flattens the union once.
+  /// state. The raw backoff histogram is merged into `backoff_slots`, not
+  /// flattened into `reg`: percentile entries do not compose across
+  /// registries, so the raw buckets of every shard are flattened once.
   void snapshot_metrics(obs::MetricRegistry& reg,
-                        obs::Histogram* backoff_slots_out = nullptr) const;
+                        obs::Histogram& backoff_slots) const;
 
  private:
   des::Scheduler* scheduler_;

@@ -123,9 +123,11 @@ class RuntimeProfiler {
 /// Samples run health (events/s, RSS) while a scenario executes, enforces
 /// wall/RSS budgets, and writes the per-run report.json. Attach one to a
 /// run via ScenarioConfig::health_monitor (non-owning); the engine calls
-/// checkpoint() at window barriers (sharded) or every event slice (serial)
-/// and finish_run() at the end. checkpoint() is cheap — one steady-clock
-/// read unless the sample period elapsed.
+/// begin_run() before it builds the run's world(s), checkpoint() at window
+/// barriers (sharded) or every event slice (serial) and finish_run() at the
+/// end, so wall_s() covers world construction plus the run, for both
+/// engines, and a monitor can be reused run after run. checkpoint() is
+/// cheap — one steady-clock read unless the sample period elapsed.
 class RunHealthMonitor {
  public:
   struct Config {

@@ -22,12 +22,8 @@ Channel::Channel(des::Scheduler& scheduler, const geom::Terrain& terrain,
       tx_power_mw_(dbm_to_mw(params.tx_power_dbm)),
       rx_threshold_mw_(dbm_to_mw(params.rx_threshold_dbm)),
       interference_cutoff_mw_(dbm_to_mw(params.interference_cutoff_dbm)),
-      nominal_range_(range_for_threshold(*model_, params.tx_power_dbm,
-                                         params.rx_threshold_dbm,
-                                         terrain.diameter())),
-      interference_range_(range_for_threshold(*model_, params.tx_power_dbm,
-                                              params.interference_cutoff_dbm,
-                                              terrain.diameter())),
+      nominal_range_(nominal_range(*model_, params, terrain)),
+      interference_range_(interference_range(*model_, params, terrain)),
       rng_(rng),
       shard_(std::move(shard)) {
   RRNET_EXPECTS(model_ != nullptr);
@@ -38,7 +34,7 @@ Channel::Channel(des::Scheduler& scheduler, const geom::Terrain& terrain,
     grid_ = shared_grid_.get();
   } else {
     owned_grid_ = std::make_unique<geom::SpatialGrid>(
-        terrain, /*cell_size=*/std::max(1.0, interference_range_), positions);
+        terrain, index_cell_size(interference_range_), positions);
     grid_ = owned_grid_.get();
   }
   const std::size_t n = grid_->size();
@@ -75,6 +71,21 @@ Channel::Channel(des::Scheduler& scheduler, const geom::Terrain& terrain,
   // identically wherever the receiver walk runs.
   link_seed_base_ = rng_.seed();
   stochastic_ = model_->stochastic();
+}
+
+double Channel::nominal_range(const PropagationModel& model,
+                              const RadioParams& params,
+                              const geom::Terrain& terrain) {
+  return range_for_threshold(model, params.tx_power_dbm,
+                             params.rx_threshold_dbm, terrain.diameter());
+}
+
+double Channel::interference_range(const PropagationModel& model,
+                                   const RadioParams& params,
+                                   const geom::Terrain& terrain) {
+  return range_for_threshold(model, params.tx_power_dbm,
+                             params.interference_cutoff_dbm,
+                             terrain.diameter());
 }
 
 Channel::~Channel() {

@@ -117,6 +117,20 @@ class Channel {
   /// Distance at which the mean rx power equals the rx threshold — the
   /// nominal transmission range of every node.
   [[nodiscard]] double nominal_range_m() const noexcept { return nominal_range_; }
+  /// The nominal_range_m() of a channel built from these arguments, for a
+  /// caller that needs it before any channel exists.
+  [[nodiscard]] static double nominal_range(const PropagationModel& model,
+                                            const RadioParams& params,
+                                            const geom::Terrain& terrain);
+  /// The interference_range_m() of a channel built from these arguments.
+  [[nodiscard]] static double interference_range(const PropagationModel& model,
+                                                 const RadioParams& params,
+                                                 const geom::Terrain& terrain);
+  /// Cell size of the spatial index of a channel with this interference
+  /// range: the range, at least 1 m.
+  [[nodiscard]] static double index_cell_size(double interference_range_m) {
+    return std::max(1.0, interference_range_m);
+  }
   /// Distance beyond which signals are ignored entirely (below the noise
   /// floor at mean power; they could not move any SINR perceptibly).
   [[nodiscard]] double interference_range_m() const noexcept {

@@ -3,9 +3,11 @@
 #include <algorithm>
 
 #include "geom/placement.hpp"
+#include "geom/shard_partition.hpp"
+#include "net/packet_buffer.hpp"
 #include "obs/profiler.hpp"
-#include "sim/topology.hpp"
 #include "proto/flooding.hpp"
+#include "sim/topology.hpp"
 #include "util/contracts.hpp"
 #include "util/pool.hpp"
 
@@ -28,9 +30,7 @@ proto::SsafConfig ssaf_config(const ScenarioConfig& config) {
   return sc;
 }
 
-}  // namespace
-
-std::unique_ptr<phy::PropagationModel> SimInstance::make_propagation(
+std::unique_ptr<phy::PropagationModel> make_propagation(
     const ScenarioConfig& config) {
   const double f = config.radio.frequency_hz;
   switch (config.propagation) {
@@ -50,7 +50,10 @@ std::unique_ptr<phy::PropagationModel> SimInstance::make_propagation(
   return std::make_unique<phy::FreeSpace>(f);
 }
 
-std::shared_ptr<const core::BackoffPolicy> SimInstance::make_flood_policy(
+/// The rebroadcast backoff policy of the configured flooding-family
+/// protocol (null for every other protocol). Immutable: one per world is
+/// shared by all of its nodes.
+std::shared_ptr<const core::BackoffPolicy> make_flood_policy(
     const ScenarioConfig& config) {
   switch (config.protocol) {
     case ProtocolKind::Counter1Flooding:
@@ -63,7 +66,7 @@ std::shared_ptr<const core::BackoffPolicy> SimInstance::make_flood_policy(
   }
 }
 
-void SimInstance::attach_protocol(
+void attach_protocol(
     const ScenarioConfig& config, net::Node& node,
     const std::shared_ptr<const core::BackoffPolicy>& flood_policy) {
   switch (config.protocol) {
@@ -105,8 +108,12 @@ void SimInstance::attach_protocol(
   RRNET_ASSERT(false);
 }
 
-void SimInstance::reserve_node_pools(const ScenarioConfig& config,
-                                     std::size_t nodes) {
+/// Pre-carve the calling thread's size-class pools for `nodes` node stacks
+/// (node + transceiver and its signal map + MAC + the configured protocol),
+/// so large-n construction is a handful of arena carves instead of O(n)
+/// pool-exhaustion heap fallbacks. Only the shortfall beyond what the
+/// thread's pools already hold is carved: small runs are untouched.
+void reserve_node_pools(const ScenarioConfig& config, std::size_t nodes) {
   if (nodes == 0) return;
   // One entry per size class: distinct types can share a class, so counts
   // accumulate before any pool is grown.
@@ -152,131 +159,265 @@ void SimInstance::reserve_node_pools(const ScenarioConfig& config,
   phy::SignalMap::reserve_blocks(nodes);
 }
 
-SimInstance::SimInstance(const ScenarioConfig& config)
-    : config_(config),
-      scheduler_(config.scheduler_queue),
-      terrain_(config.width_m, config.height_m) {
+}  // namespace
+
+WorldPlan plan_world(const ScenarioConfig& config) {
   RRNET_EXPECTS(config.nodes >= 2);
-
-  // Pool metrics are per-run deltas: the thread-local arenas accumulate
-  // counters across every run on this worker thread, so capture baselines
-  // (and restart the occupancy high-waters) before building anything. A run
-  // starts with all prior buffers released, so deltas are deterministic per
-  // seed regardless of how many runs this thread served before.
-  {
-    util::PayloadPool& pkt = net::packet_buffer_pool();
-    pkt.reset_high_water();
-    packet_allocs_base_ = pkt.stats().pool_allocs + pkt.stats().heap_allocs;
-    packet_heap_allocs_base_ = pkt.stats().heap_allocs;
-    object_allocs_base_ = 0;
-    object_heap_allocs_base_ = 0;
-    for_each_object_pool([this](util::PayloadPool& pool) {
-      pool.reset_high_water();
-      object_allocs_base_ += pool.stats().pool_allocs + pool.stats().heap_allocs;
-      object_heap_allocs_base_ += pool.stats().heap_allocs;
-    });
-  }
-
-  if (config_.trace_events) {
-    tracer_ = std::make_unique<obs::EventTracer>(config_.trace_capacity);
-    tracer_->set_enabled(true);
-    prev_tracer_ = obs::set_thread_tracer(tracer_.get());
-  }
-
-  des::Rng root(config.seed);
-
-  auto model = make_propagation(config_);
-  phy::RadioParams radio = config_.radio;
+  WorldPlan plan{.config = config,
+                 .terrain = geom::Terrain(config.width_m, config.height_m),
+                 .radio = config.radio};
+  const auto model = make_propagation(config);
   // Calibrate tx power so the nominal range is exactly config.range_m.
-  radio.tx_power_dbm =
-      phy::tx_power_for_range(*model, config_.range_m, radio.rx_threshold_dbm);
+  plan.radio.tx_power_dbm = phy::tx_power_for_range(
+      *model, config.range_m, plan.radio.rx_threshold_dbm);
 
+  const des::Rng root(config.seed);
   des::Rng placement_rng = root.fork("placement");
-  std::vector<geom::Vec2> positions =
-      geom::place_uniform(terrain_, config_.nodes, placement_rng);
+  plan.positions =
+      geom::place_uniform(plan.terrain, config.nodes, placement_rng);
 
-  reserve_node_pools(config_, config_.nodes);
-  network_ = std::make_unique<net::Network>(
-      scheduler_, terrain_, std::move(model), radio, config_.mac,
-      std::move(positions), root.fork("network"));
-
-  flood_policy_ = make_flood_policy(config_);
-  for (net::Node* node : network_->nodes_in_storage_order()) {
-    attach_protocol(config_, *node, flood_policy_);
-    app::attach_sink(*node, flows_);
-  }
-
-  // Traffic pairs.
-  if (!config_.explicit_pairs.empty()) {
-    pairs_ = config_.explicit_pairs;
+  if (!config.explicit_pairs.empty()) {
+    plan.pairs = config.explicit_pairs;
   } else {
     des::Rng pair_rng = root.fork("pairs");
-    if (config_.require_connected_pairs) {
-      const Topology topology(network_->channel());
-      pairs_ = draw_connected_pairs(topology, config_.pairs, pair_rng,
-                                    config_.min_pair_hops);
+    if (config.require_connected_pairs) {
+      const Topology topology(
+          plan.positions,
+          phy::Channel::nominal_range(*model, plan.radio, plan.terrain));
+      plan.pairs = draw_connected_pairs(topology, config.pairs, pair_rng,
+                                        config.min_pair_hops);
     } else {
-      pairs_ = draw_pairs(network_->size(), config_.pairs, pair_rng);
+      plan.pairs = draw_pairs(config.nodes, config.pairs, pair_rng);
     }
   }
-  app::CbrConfig cbr;
-  cbr.interval = config_.cbr_interval;
-  cbr.payload_bytes = config_.payload_bytes;
-  cbr.start_time = config_.traffic_start;
-  cbr.stop_time = config_.traffic_stop;
-  for (std::size_t p = 0; p < pairs_.size(); ++p) {
-    const auto& [src, dst] = pairs_[p];
-    RRNET_EXPECTS(src < network_->size() && dst < network_->size());
-    app::CbrConfig pair_cbr = cbr;
-    if (p < config_.explicit_pair_intervals.size() &&
-        config_.explicit_pair_intervals[p] > 0.0) {
-      pair_cbr.interval = config_.explicit_pair_intervals[p];
+
+  if (config.shards > 1) {
+    const geom::ShardPartition partition(plan.terrain, config.shards);
+    plan.owner = geom::shard_owner_map(partition, plan.positions);
+    plan.strip_width = partition.strip_width();
+    // Queries are const and the grid is never mutated (set_position asserts
+    // exclusive ownership), so concurrent walks are race-free.
+    if (!config.mobility) {
+      plan.shared_index = std::make_shared<const geom::SpatialGrid>(
+          plan.terrain,
+          phy::Channel::index_cell_size(phy::Channel::interference_range(
+              *model, plan.radio, plan.terrain)),
+          plan.positions);
     }
-    sources_.push_back(std::make_unique<app::CbrSource>(network_->node(src),
-                                                        dst, pair_cbr, flows_));
-    if (config_.bidirectional) {
-      sources_.push_back(std::make_unique<app::CbrSource>(
-          network_->node(dst), src, pair_cbr, flows_));
+  }
+  return plan;
+}
+
+void World::attach(net::Node& node) {
+  attach_protocol(config, node, flood_policy);
+  app::attach_sink(node, flows);
+}
+
+void World::start() {
+  network->start_protocols();
+  if (failures != nullptr) failures->start();
+  if (mobility != nullptr) mobility->start();
+  for (auto& source : sources) source->start();
+}
+
+std::unique_ptr<World> build_world(const WorldPlan& plan,
+                                   phy::ShardSpec shard,
+                                   std::vector<geom::Vec2> positions) {
+  const ScenarioConfig& config = plan.config;
+  auto world = std::make_unique<World>(config);
+
+  // Pre-carve this thread's object pools for the nodes this world owns: at
+  // n = 10^6 the arenas would otherwise grow through thousands of
+  // reallocation steps during the node loop below.
+  const std::size_t owned =
+      shard.owner.empty()
+          ? config.nodes
+          : static_cast<std::size_t>(std::count(
+                shard.owner.begin(), shard.owner.end(), shard.shard));
+  reserve_node_pools(config, owned);
+
+  const des::Rng root(config.seed);
+  world->network = std::make_unique<net::Network>(
+      world->scheduler, plan.terrain, make_propagation(config), plan.radio,
+      config.mac, std::move(positions), root.fork("network"), std::move(shard),
+      plan.shared_index);
+  net::Network& network = *world->network;
+  world->flood_policy = make_flood_policy(config);
+  for (net::Node* node : network.nodes_in_storage_order()) {
+    world->attach(*node);
+  }
+
+  app::CbrConfig cbr;
+  cbr.interval = config.cbr_interval;
+  cbr.payload_bytes = config.payload_bytes;
+  cbr.start_time = config.traffic_start;
+  cbr.stop_time = config.traffic_stop;
+  for (std::size_t p = 0; p < plan.pairs.size(); ++p) {
+    const auto& [src, dst] = plan.pairs[p];
+    RRNET_EXPECTS(src < network.size() && dst < network.size());
+    app::CbrConfig pair_cbr = cbr;
+    if (p < config.explicit_pair_intervals.size() &&
+        config.explicit_pair_intervals[p] > 0.0) {
+      pair_cbr.interval = config.explicit_pair_intervals[p];
+    }
+    if (network.has_node(src)) {
+      world->sources.push_back(std::make_unique<app::CbrSource>(
+          network.node(src), dst, pair_cbr, world->flows));
+    }
+    if (config.bidirectional && network.has_node(dst)) {
+      world->sources.push_back(std::make_unique<app::CbrSource>(
+          network.node(dst), src, pair_cbr, world->flows));
     }
   }
 
   // Node failures: traffic endpoints are exempt (the paper turns off
   // transceivers "in all nodes but those that generate and receive CBR
   // traffic").
-  if (config_.failure_fraction > 0.0) {
+  if (config.failure_fraction > 0.0) {
     phy::FailureConfig fc;
-    fc.off_fraction = config_.failure_fraction;
-    fc.mean_cycle_s = config_.failure_cycle_s;
-    for (const auto& [src, dst] : pairs_) {
+    fc.off_fraction = config.failure_fraction;
+    fc.mean_cycle_s = config.failure_cycle_s;
+    for (const auto& [src, dst] : plan.pairs) {
       fc.exempt_nodes.push_back(src);
       fc.exempt_nodes.push_back(dst);
     }
-    failures_ = std::make_unique<phy::FailureModel>(
-        scheduler_, network_->channel(), fc, root.fork("failures"));
+    world->failures = std::make_unique<phy::FailureModel>(
+        world->scheduler, network.channel(), fc, root.fork("failures"));
   }
 
-  if (config_.mobility) {
+  // Mobility moves ALL nodes, owned or not, so a shard's position grid stays
+  // bitwise equal to the serial one, and a replayed handoff walk sees the
+  // distances its source saw. Traffic endpoints are pinned.
+  if (config.mobility) {
     MobilityConfig mc;
-    mc.min_speed_mps = config_.mobility_min_speed_mps;
-    mc.max_speed_mps = config_.mobility_max_speed_mps;
-    mc.pause_s = config_.mobility_pause_s;
-    for (const auto& [src, dst] : pairs_) {
+    mc.min_speed_mps = config.mobility_min_speed_mps;
+    mc.max_speed_mps = config.mobility_max_speed_mps;
+    mc.pause_s = config.mobility_pause_s;
+    for (const auto& [src, dst] : plan.pairs) {
       mc.pinned_nodes.push_back(src);
       mc.pinned_nodes.push_back(dst);
     }
-    mobility_ = std::make_unique<RandomWaypoint>(
-        scheduler_, network_->channel(), terrain_, mc, root.fork("mobility"));
+    world->mobility = std::make_unique<RandomWaypoint>(
+        world->scheduler, network.channel(), plan.terrain, mc,
+        root.fork("mobility"));
   }
 
-  if (config_.track_energy) {
-    for (std::uint32_t id = 0; id < network_->size(); ++id) {
-      network_->channel().transceiver(id).enable_energy(
-          config_.energy_profile, scheduler_);
+  if (config.track_energy) {
+    for (std::uint32_t id = 0; id < network.size(); ++id) {
+      if (!network.has_node(id)) continue;
+      network.channel().transceiver(id).enable_energy(config.energy_profile,
+                                                      world->scheduler);
     }
   }
+  return world;
+}
 
+WorldOutcome harvest_world(World& world) {
+  namespace m = obs::metric;
+  WorldOutcome out;
+  net::Network& network = *world.network;
+  network.snapshot_metrics(out.metrics, out.backoff_slots);
+  out.metrics.add(m::kDesEventsExecuted, world.scheduler.executed_count());
+  out.metrics.set_max(m::kDesHeapHighWater, world.scheduler.heap_high_water());
+  out.flow_log = world.flows.take_event_log();
+  out.mac_tx = network.total_mac_tx();
+  out.channel_tx = network.channel().stats().transmissions;
+  out.events_executed = world.scheduler.executed_count();
+  if (world.config.track_energy) {
+    for (std::uint32_t id = 0; id < network.size(); ++id) {
+      if (!network.has_node(id)) continue;
+      // finalize_energy is idempotent at a fixed clock time.
+      phy::Transceiver& radio = network.channel().transceiver(id);
+      radio.finalize_energy();
+      if (const phy::EnergyMeter* meter = radio.energy_meter()) {
+        out.energy.emplace_back(id, meter->consumed_joules());
+      }
+    }
+  }
+  return out;
+}
+
+ScenarioResult assemble_result(const app::FlowStats& flows,
+                               std::span<const WorldOutcome> outcomes) {
+  ScenarioResult r;
+  r.sent = flows.sent();
+  r.delivered = flows.delivered();
+  r.delivery_ratio = flows.delivery_ratio();
+  r.mean_delay_s = flows.delay().empty() ? 0.0 : flows.delay().mean();
+  r.mean_hops = flows.hops().empty() ? 0.0 : flows.hops().mean();
+  obs::Histogram backoff_slots;
+  std::vector<std::pair<std::uint32_t, double>> energy;
+  for (const WorldOutcome& out : outcomes) {
+    r.mac_packets += out.mac_tx;
+    r.channel_transmissions += out.channel_tx;
+    r.events_executed += out.events_executed;
+    r.metrics.merge(out.metrics);
+    backoff_slots.merge(out.backoff_slots);
+    energy.insert(energy.end(), out.energy.begin(), out.energy.end());
+  }
+  // Percentiles come from the union histogram: per-shard p50/p99 gauges
+  // merged by max would not be the one-world flattening.
+  if (!backoff_slots.empty()) {
+    backoff_slots.snapshot_into(r.metrics, obs::metric::kMacBackoffSlots);
+  }
+  if (!energy.empty()) {
+    // Exactly one world reports each node (a meter migrates with its node),
+    // so summing in node-id order gives the same bits for any shard count.
+    std::sort(energy.begin(), energy.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (const auto& [id, joules] : energy) r.total_energy_j += joules;
+    if (r.delivered > 0) {
+      r.energy_per_delivered_j =
+          r.total_energy_j / static_cast<double>(r.delivered);
+    }
+  }
+  return r;
+}
+
+PoolBaseline::PoolBaseline() {
+  util::PayloadPool& pkt = net::packet_buffer_pool();
+  pkt.reset_high_water();
+  packet_allocs_ = pkt.stats().pool_allocs + pkt.stats().heap_allocs;
+  packet_heap_allocs_ = pkt.stats().heap_allocs;
+  for_each_object_pool([this](util::PayloadPool& pool) {
+    pool.reset_high_water();
+    object_allocs_ += pool.stats().pool_allocs + pool.stats().heap_allocs;
+    object_heap_allocs_ += pool.stats().heap_allocs;
+  });
+}
+
+void PoolBaseline::add_deltas(obs::MetricRegistry& reg) const {
+  namespace m = obs::metric;
+  const util::PayloadPool& pkt = net::packet_buffer_pool();
+  reg.add(m::kPoolPacketAllocs,
+          pkt.stats().pool_allocs + pkt.stats().heap_allocs - packet_allocs_);
+  reg.add(m::kPoolPacketHeapAllocs,
+          pkt.stats().heap_allocs - packet_heap_allocs_);
+  reg.set_max(m::kPoolPacketInUseHighWater, pkt.in_use_high_water());
+  std::uint64_t allocs = 0;
+  std::uint64_t heap_allocs = 0;
+  std::uint64_t in_use_high_water = 0;
+  for_each_object_pool([&](const util::PayloadPool& pool) {
+    allocs += pool.stats().pool_allocs + pool.stats().heap_allocs;
+    heap_allocs += pool.stats().heap_allocs;
+    in_use_high_water += pool.in_use_high_water();
+  });
+  reg.add(m::kPoolObjectAllocs, allocs - object_allocs_);
+  reg.add(m::kPoolObjectHeapAllocs, heap_allocs - object_heap_allocs_);
+  reg.set_max(m::kPoolObjectInUseHighWater, in_use_high_water);
+}
+
+SimInstance::SimInstance(const ScenarioConfig& config)
+    : config_(config), plan_(plan_world(config_)) {
+  if (config_.health_monitor != nullptr) config_.health_monitor->begin_run();
+  if (config_.trace_events) {
+    tracer_ = std::make_unique<obs::EventTracer>(config_.trace_capacity);
+    tracer_->set_enabled(true);
+    prev_tracer_ = obs::set_thread_tracer(tracer_.get());
+  }
+  world_ = build_world(plan_, {}, std::move(plan_.positions));
   if (config_.trace_paths) {
-    trace_ = std::make_unique<trace::PathTrace>(*network_);
+    trace_ = std::make_unique<trace::PathTrace>(*world_->network);
   }
 }
 
@@ -296,14 +437,12 @@ void SimInstance::run_until(des::Time t) {
   }
   if (!started_) {
     started_ = true;
-    network_->start_protocols();
-    if (failures_ != nullptr) failures_->start();
-    if (mobility_ != nullptr) mobility_->start();
-    for (auto& source : sources_) source->start();
+    world_->start();
   }
+  des::Scheduler& scheduler = world_->scheduler;
   obs::RunHealthMonitor* monitor = config_.health_monitor;
   if (monitor == nullptr) {
-    scheduler_.run_until(t);
+    scheduler.run_until(t);
     return;
   }
   // Serial health sampling: run in bounded event slices so the monitor can
@@ -312,74 +451,25 @@ void SimInstance::run_until(des::Time t) {
   // would, so results are unchanged; a budget abort stops at a slice edge
   // and keeps the partial state consistent for result().
   constexpr std::uint64_t kEventsPerCheckpoint = std::uint64_t{1} << 18;
-  bool within_budget = monitor->checkpoint(scheduler_.executed_count());
-  while (within_budget && !scheduler_.run_until(t, kEventsPerCheckpoint)) {
-    within_budget = monitor->checkpoint(scheduler_.executed_count());
+  bool within_budget = monitor->checkpoint(scheduler.executed_count());
+  while (within_budget && !scheduler.run_until(t, kEventsPerCheckpoint)) {
+    within_budget = monitor->checkpoint(scheduler.executed_count());
   }
 }
 
 void SimInstance::run() {
   run_until(config_.sim_end);
   if (config_.health_monitor != nullptr) {
-    config_.health_monitor->finish_run(scheduler_.executed_count());
+    config_.health_monitor->finish_run(world_->scheduler.executed_count());
   }
 }
 
 ScenarioResult SimInstance::result() const {
-  ScenarioResult r;
-  r.sent = flows_.sent();
-  r.delivered = flows_.delivered();
-  r.delivery_ratio = flows_.delivery_ratio();
-  r.mean_delay_s = flows_.delay().empty() ? 0.0 : flows_.delay().mean();
-  r.mean_hops = flows_.hops().empty() ? 0.0 : flows_.hops().mean();
-  r.mac_packets = network_->total_mac_tx();
-  r.channel_transmissions = network_->channel().stats().transmissions;
-  r.events_executed = scheduler_.executed_count();
-  if (config_.track_energy) {
-    double joules = 0.0;
-    for (std::uint32_t id = 0; id < network_->size(); ++id) {
-      // finalize_energy is idempotent at a fixed clock time.
-      auto& radio = const_cast<SimInstance*>(this)
-                        ->network_->channel().transceiver(id);
-      radio.finalize_energy();
-      if (const phy::EnergyMeter* meter = radio.energy_meter()) {
-        joules += meter->consumed_joules();
-      }
-    }
-    r.total_energy_j = joules;
-    if (r.delivered > 0) {
-      r.energy_per_delivered_j = joules / static_cast<double>(r.delivered);
-    }
-  }
-
-  // Per-layer counter snapshot. Must run on the thread that ran the
-  // simulation (the pools are thread-local); replication workers respect
-  // this by building, running, and reading each instance on one thread.
-  namespace m = obs::metric;
-  network_->snapshot_metrics(r.metrics);
-  r.metrics.add(m::kDesEventsExecuted, scheduler_.executed_count());
-  r.metrics.set_max(m::kDesHeapHighWater, scheduler_.heap_high_water());
-
-  const util::PayloadPool& pkt = net::packet_buffer_pool();
-  r.metrics.add(m::kPoolPacketAllocs, pkt.stats().pool_allocs +
-                                          pkt.stats().heap_allocs -
-                                          packet_allocs_base_);
-  r.metrics.add(m::kPoolPacketHeapAllocs,
-                pkt.stats().heap_allocs - packet_heap_allocs_base_);
-  r.metrics.set_max(m::kPoolPacketInUseHighWater, pkt.in_use_high_water());
-  std::uint64_t object_allocs = 0;
-  std::uint64_t object_heap_allocs = 0;
-  std::uint64_t object_in_use_hw = 0;
-  for_each_object_pool([&](const util::PayloadPool& pool) {
-    object_allocs += pool.stats().pool_allocs + pool.stats().heap_allocs;
-    object_heap_allocs += pool.stats().heap_allocs;
-    object_in_use_hw += pool.in_use_high_water();
-  });
-  r.metrics.add(m::kPoolObjectAllocs, object_allocs - object_allocs_base_);
-  r.metrics.add(m::kPoolObjectHeapAllocs,
-                object_heap_allocs - object_heap_allocs_base_);
-  r.metrics.set_max(m::kPoolObjectInUseHighWater, object_in_use_hw);
-  return r;
+  // Pools are thread-local: call on the thread that built and ran this
+  // instance (replication workers build, run and read each on one thread).
+  WorldOutcome outcome = harvest_world(*world_);
+  pools_.add_deltas(outcome.metrics);
+  return assemble_result(world_->flows, {&outcome, 1});
 }
 
 }  // namespace rrnet::sim

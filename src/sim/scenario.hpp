@@ -49,13 +49,7 @@ enum class PropagationKind : std::uint8_t {
 struct ScenarioConfig {
   std::uint64_t seed = 1;
 
-  /// Event-queue implementation behind the scheduler. Both backends pop in
-  /// the same strict (time, sequence) order, so results are bit-identical;
-  /// the field exists so the serial==ladder determinism gate can run the
-  /// same scenario on each and compare metric snapshots.
-  des::QueueBackend scheduler_queue = des::default_queue_backend();
-
-  /// Spatial shards: 1 (default) runs the untouched serial engine; K > 1
+  /// Spatial shards: 1 (default) runs the one-shard world; K > 1
   /// partitions the terrain into K vertical strips, each with its own
   /// scheduler/channel/nodes, synchronized by conservative time windows
   /// (see DESIGN.md "Parallel execution"). Semantic per-layer counters and

@@ -2,76 +2,18 @@
 
 #include <algorithm>
 #include <array>
-#include <limits>
 #include <memory>
 #include <thread>
 #include <utility>
 
-#include "app/cbr.hpp"
-#include "app/flow_stats.hpp"
-#include "geom/placement.hpp"
-#include "geom/shard_partition.hpp"
-#include "net/network.hpp"
-#include "net/packet_buffer.hpp"
 #include "obs/profiler.hpp"
-#include "phy/failure.hpp"
-#include "phy/propagation.hpp"
 #include "sim/builder.hpp"
-#include "sim/mobility.hpp"
 #include "sim/spin_barrier.hpp"
-#include "sim/topology.hpp"
 #include "util/contracts.hpp"
-#include "util/pool.hpp"
 
 namespace rrnet::sim {
 
 namespace {
-
-/// Walk the calling thread's object size-class pools (mirror of the
-/// builder's helper — pools are thread-local, so each worker walks its own).
-template <typename Fn>
-void for_each_object_pool(Fn&& fn) {
-  for (std::size_t bytes = util::kSizeClassStep; bytes <= util::kSizeClassMax;
-       bytes += util::kSizeClassStep) {
-    fn(util::sized_pool(bytes));
-  }
-}
-
-/// Everything one shard owns. Built, run, harvested, and destroyed on the
-/// same worker thread: nodes allocate from thread-local pools, so the world
-/// must never cross threads (only its outboxes are read remotely, between
-/// the barriers that make that race-free).
-struct ShardWorld {
-  des::Scheduler scheduler;
-  /// SimInstance::make_flood_policy, shared by this shard's nodes.
-  std::shared_ptr<const core::BackoffPolicy> flood_policy;
-  std::unique_ptr<net::Network> network;
-  app::FlowStats flows;
-  std::vector<std::unique_ptr<app::CbrSource>> sources;
-  /// Replicated environment drivers: EVERY shard runs the full failure and
-  /// mobility schedules for ALL nodes from the same rng forks, so position
-  /// grids and on/off states agree bitwise everywhere without any exchange.
-  /// Only the side effects gated on ownership (turn_off on a radio) are
-  /// shard-local — see FailureModel's owns() guards.
-  std::unique_ptr<phy::FailureModel> failures;
-  std::unique_ptr<RandomWaypoint> mobility;
-
-  explicit ShardWorld(des::QueueBackend backend) : scheduler(backend) {}
-};
-
-/// What a worker hands back per shard (plain data; read after join()).
-struct ShardOutcome {
-  obs::MetricRegistry metrics;
-  obs::Histogram backoff_slots;  // raw buckets; flattened after the merge
-  std::vector<app::FlowStats::FlowEvent> flow_log;
-  /// (node id, joules) for every transceiver this shard owned at the end;
-  /// the coordinator sorts by node id and sums in that order, reproducing
-  /// the serial id-order FP accumulation exactly.
-  std::vector<std::pair<std::uint32_t, double>> energy;
-  std::uint64_t mac_tx = 0;
-  std::uint64_t channel_tx = 0;
-  std::uint64_t events_executed = 0;
-};
 
 /// One node changing owner shards, exchanged at a window barrier. Built by
 /// the source shard's worker (in node-id order within the shard), applied
@@ -96,7 +38,7 @@ struct NodeMigration {
 /// already injected). See sharded.hpp for the derivation; soundness rests
 /// on the CsmaMac note_armed_tx() hooks covering every timer whose expiry
 /// can transmit with less than a DIFS of warning.
-des::Time shard_bound(ShardWorld& world, des::Time now,
+des::Time shard_bound(World& world, des::Time now,
                       const mac::MacParams& mac,
                       obs::BoundSource* source = nullptr) {
   phy::Channel& channel = world.network->channel();
@@ -116,152 +58,12 @@ des::Time shard_bound(ShardWorld& world, des::Time now,
   return bound;
 }
 
-/// Inputs shared (read-only) by every worker during the build phase.
-struct BuildPlan {
-  const ScenarioConfig* config;
-  const geom::Terrain* terrain;
-  const std::vector<geom::Vec2>* positions;
-  const std::vector<std::uint32_t>* owner;
-  const std::vector<std::pair<std::uint32_t, std::uint32_t>>* pairs;
-  phy::RadioParams radio;    ///< tx power already calibrated to range_m
-  double strip_width = 0.0;  ///< ShardPartition strip width (crossing detect)
-  /// Static-position runs: one immutable CSR index built by the
-  /// coordinator and queried concurrently by every shard — index memory is
-  /// O(n) instead of O(n*K). Null under mobility (each shard keeps a
-  /// mutable replica driven by its own replicated position updates).
-  std::shared_ptr<const geom::SpatialGrid> shared_index;
-};
-
-std::unique_ptr<ShardWorld> build_shard(const BuildPlan& plan,
-                                        std::uint32_t shard_index) {
-  const ScenarioConfig& config = *plan.config;
-  auto world = std::make_unique<ShardWorld>(config.scheduler_queue);
-  world->flows.enable_event_log();
-
-  phy::ShardSpec spec;
-  spec.shard = shard_index;
-  spec.shards = config.shards;
-  spec.owner = *plan.owner;
-  spec.strip_width = plan.strip_width;
-
-  // Pre-carve this worker's object pools for the nodes this shard owns —
-  // at n=1M a shard would otherwise grow its arenas through thousands of
-  // reallocation steps during the node loop below.
-  std::size_t owned = 0;
-  for (const std::uint32_t o : *plan.owner) owned += o == shard_index ? 1 : 0;
-  SimInstance::reserve_node_pools(config, owned);
-
-  des::Rng root(config.seed);
-  world->network = std::make_unique<net::Network>(
-      world->scheduler, *plan.terrain, SimInstance::make_propagation(config),
-      plan.radio, config.mac,
-      plan.shared_index ? std::vector<geom::Vec2>{} : *plan.positions,
-      root.fork("network"), std::move(spec), plan.shared_index);
-
-  net::Network& network = *world->network;
-  world->flood_policy = SimInstance::make_flood_policy(config);
-  for (net::Node* node : network.nodes_in_storage_order()) {
-    SimInstance::attach_protocol(config, *node, world->flood_policy);
-    app::attach_sink(*node, world->flows);
-  }
-
-  app::CbrConfig cbr;
-  cbr.interval = config.cbr_interval;
-  cbr.payload_bytes = config.payload_bytes;
-  cbr.start_time = config.traffic_start;
-  cbr.stop_time = config.traffic_stop;
-  for (std::size_t p = 0; p < plan.pairs->size(); ++p) {
-    const auto& [src, dst] = (*plan.pairs)[p];
-    RRNET_EXPECTS(src < network.size() && dst < network.size());
-    app::CbrConfig pair_cbr = cbr;
-    if (p < config.explicit_pair_intervals.size() &&
-        config.explicit_pair_intervals[p] > 0.0) {
-      pair_cbr.interval = config.explicit_pair_intervals[p];
-    }
-    if (network.has_node(src)) {
-      world->sources.push_back(std::make_unique<app::CbrSource>(
-          network.node(src), dst, pair_cbr, world->flows));
-    }
-    if (config.bidirectional && network.has_node(dst)) {
-      world->sources.push_back(std::make_unique<app::CbrSource>(
-          network.node(dst), src, pair_cbr, world->flows));
-    }
-  }
-
-  // Replicated failure schedule (see ShardWorld docs): the full draw stream
-  // runs on every shard from the same fork, exempt list in the same order
-  // the serial builder pushes it.
-  if (config.failure_fraction > 0.0) {
-    phy::FailureConfig fc;
-    fc.off_fraction = config.failure_fraction;
-    fc.mean_cycle_s = config.failure_cycle_s;
-    for (const auto& [src, dst] : *plan.pairs) {
-      fc.exempt_nodes.push_back(src);
-      fc.exempt_nodes.push_back(dst);
-    }
-    world->failures = std::make_unique<phy::FailureModel>(
-        world->scheduler, network.channel(), fc, root.fork("failures"));
-  }
-
-  // Replicated mobility: every shard moves ALL nodes (not just owned ones)
-  // from the same fork, so every shard's position grid stays bitwise equal
-  // to the serial one — which is what lets a replayed handoff walk see the
-  // same distances the source saw.
-  if (config.mobility) {
-    MobilityConfig mc;
-    mc.min_speed_mps = config.mobility_min_speed_mps;
-    mc.max_speed_mps = config.mobility_max_speed_mps;
-    mc.pause_s = config.mobility_pause_s;
-    for (const auto& [src, dst] : *plan.pairs) {
-      mc.pinned_nodes.push_back(src);
-      mc.pinned_nodes.push_back(dst);
-    }
-    world->mobility = std::make_unique<RandomWaypoint>(
-        world->scheduler, network.channel(), *plan.terrain, mc,
-        root.fork("mobility"));
-  }
-
-  if (config.track_energy) {
-    for (std::uint32_t id = 0; id < network.size(); ++id) {
-      if (!network.has_node(id)) continue;
-      network.channel().transceiver(id).enable_energy(config.energy_profile,
-                                                      world->scheduler);
-    }
-  }
-  return world;
-}
-
-void harvest_shard(ShardWorld& world, ShardOutcome& out, bool track_energy) {
-  namespace m = obs::metric;
-  net::Network& network = *world.network;
-  network.snapshot_metrics(out.metrics, &out.backoff_slots);
-  out.metrics.add(m::kDesEventsExecuted, world.scheduler.executed_count());
-  out.metrics.set_max(m::kDesHeapHighWater, world.scheduler.heap_high_water());
-  out.flow_log = world.flows.take_event_log();
-  out.mac_tx = network.total_mac_tx();
-  out.channel_tx = network.channel().stats().transmissions;
-  out.events_executed = world.scheduler.executed_count();
-  if (track_energy) {
-    // Every shard's scheduler sits at sim_end here (the last window), so the
-    // final dwell interval closes at the same instant as the serial run's.
-    for (std::uint32_t id = 0; id < network.size(); ++id) {
-      if (!network.has_node(id)) continue;
-      phy::Transceiver& radio = network.channel().transceiver(id);
-      radio.finalize_energy();
-      if (const phy::EnergyMeter* meter = radio.energy_meter()) {
-        out.energy.emplace_back(id, meter->consumed_joules());
-      }
-    }
-  }
-}
-
 }  // namespace
 
 ScenarioResult run_scenario_sharded(const ScenarioConfig& config,
                                     std::vector<obs::TraceRecord>* trace_out) {
   const std::uint32_t shards = config.shards;
   RRNET_EXPECTS(shards >= 2);
-  RRNET_EXPECTS(config.nodes >= 2);
   // The only remaining serial-only feature: PathTrace observes every
   // network-layer tx in one world, and relay paths cross strips. Mobility
   // is handled by replicated position updates + node migration, failures by
@@ -276,66 +78,16 @@ ScenarioResult run_scenario_sharded(const ScenarioConfig& config,
   }
   threads = std::min(threads, shards);
 
-  // ---- Coordinator: everything every shard must agree on, computed once
-  // from the same seed-derived forks the serial builder uses. ----
-  const geom::Terrain terrain(config.width_m, config.height_m);
-  auto model = SimInstance::make_propagation(config);
-  phy::RadioParams radio = config.radio;
-  radio.tx_power_dbm = phy::tx_power_for_range(*model, config.range_m,
-                                               radio.rx_threshold_dbm);
-
-  des::Rng root(config.seed);
-  des::Rng placement_rng = root.fork("placement");
-  const std::vector<geom::Vec2> positions =
-      geom::place_uniform(terrain, config.nodes, placement_rng);
-
-  const geom::ShardPartition partition(terrain, shards);
-  const std::vector<std::uint32_t> owner =
-      geom::shard_owner_map(partition, positions);
-
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
-  if (!config.explicit_pairs.empty()) {
-    pairs = config.explicit_pairs;
-  } else {
-    des::Rng pair_rng = root.fork("pairs");
-    if (config.require_connected_pairs) {
-      // Same disk graph the serial Topology(channel) snapshot sees: the
-      // channel derives its nominal range with this exact expression.
-      const double nominal_range = phy::range_for_threshold(
-          *model, radio.tx_power_dbm, radio.rx_threshold_dbm,
-          terrain.diameter());
-      const Topology topology(positions, nominal_range);
-      pairs = draw_connected_pairs(topology, config.pairs, pair_rng,
-                                   config.min_pair_hops);
-    } else {
-      pairs = draw_pairs(positions.size(), config.pairs, pair_rng);
-    }
-  }
-
-  // Static positions: build the spatial index ONCE (same cell-size
-  // expression the channel uses) and hand every shard a read-only view.
-  // Queries are const and the grid is never mutated (set_position asserts
-  // exclusive ownership), so concurrent walks are race-free.
-  std::shared_ptr<const geom::SpatialGrid> shared_index;
-  if (!config.mobility) {
-    const double cell = std::max(
-        1.0, phy::range_for_threshold(*model, radio.tx_power_dbm,
-                                      radio.interference_cutoff_dbm,
-                                      terrain.diameter()));
-    shared_index =
-        std::make_shared<const geom::SpatialGrid>(terrain, cell, positions);
-  }
-
-  BuildPlan plan{&config,   &terrain, &positions,
-                 &owner,    &pairs,   radio,
-                 partition.strip_width(), shared_index};
+  const WorldPlan plan = plan_world(config);
+  obs::RunHealthMonitor* monitor = config.health_monitor;
+  if (monitor != nullptr) monitor->begin_run();
 
   // ---- Shared window-protocol state. worlds/bounds/emitted/migration
   // slots are written by the owning worker and read by all; every
   // cross-thread handoff of these is ordered by a barrier crossing (or
   // thread join for the outcomes). ----
   SpinBarrier barrier(threads);
-  std::vector<ShardWorld*> worlds(shards, nullptr);
+  std::vector<World*> worlds(shards, nullptr);
   // bounds / emitted are double-buffered by round parity: a quiet round has
   // a single barrier (A), so round r's readers and round r+1's writers share
   // the span between two A crossings — parity gives them disjoint slots, and
@@ -348,8 +100,7 @@ ScenarioResult run_scenario_sharded(const ScenarioConfig& config,
   std::array<std::vector<std::uint8_t>, 2> emitted{
       std::vector<std::uint8_t>(shards, 0),
       std::vector<std::uint8_t>(shards, 0)};
-  std::vector<ShardOutcome> outcomes(shards);
-  std::vector<obs::MetricRegistry> pool_metrics(threads);
+  std::vector<WorldOutcome> outcomes(shards);
   std::vector<std::vector<obs::TraceRecord>> trace_rings(threads);
   // Deferred node migrations: written by the source shard's worker between
   // barriers A and B (exchange rounds only), counted via migration_counts
@@ -360,7 +111,6 @@ ScenarioResult run_scenario_sharded(const ScenarioConfig& config,
   std::vector<std::vector<NodeMigration>> migrations(shards);
   std::vector<std::uint32_t> migration_counts(shards, 0);
   const bool want_trace = config.trace_events;
-  const bool track_energy = config.track_energy;
   const des::Time sim_end = config.sim_end;
   const mac::MacParams mac = config.mac;
   // shard_window_batch == 0 selects the adaptive controller: the batch
@@ -377,8 +127,6 @@ ScenarioResult run_scenario_sharded(const ScenarioConfig& config,
   if (config.profile_runtime) {
     profiler = std::make_unique<obs::RuntimeProfiler>(threads);
   }
-  obs::RunHealthMonitor* monitor = config.health_monitor;
-  if (monitor != nullptr) monitor->begin_run();
   // Budget abort flag: worker 0 decides between barriers A and B of an
   // exchange round, every worker reads it after B — a plain byte is enough,
   // the barrier crossings order the accesses. All workers then break at the
@@ -400,40 +148,26 @@ ScenarioResult run_scenario_sharded(const ScenarioConfig& config,
       prev_tracer = obs::set_thread_tracer(tracer.get());
     }
 
-    // Pool baselines before building anything (thread-local arenas).
-    util::PayloadPool& pkt_pool = net::packet_buffer_pool();
-    pkt_pool.reset_high_water();
-    std::uint64_t pkt_allocs_base =
-        pkt_pool.stats().pool_allocs + pkt_pool.stats().heap_allocs;
-    std::uint64_t pkt_heap_base = pkt_pool.stats().heap_allocs;
-    std::uint64_t obj_allocs_base = 0;
-    std::uint64_t obj_heap_base = 0;
-    for_each_object_pool([&](util::PayloadPool& pool) {
-      pool.reset_high_water();
-      obj_allocs_base += pool.stats().pool_allocs + pool.stats().heap_allocs;
-      obj_heap_base += pool.stats().heap_allocs;
-    });
-
-    std::vector<std::unique_ptr<ShardWorld>> mine;
+    const PoolBaseline pools;  // before this worker builds anything
+    std::vector<std::unique_ptr<World>> mine;
     mine.reserve(hi - lo);
     for (std::uint32_t s = lo; s < hi; ++s) {
-      mine.push_back(build_shard(plan, s));
+      mine.push_back(build_world(
+          plan, {s, shards, plan.owner, plan.strip_width},
+          plan.shared_index ? std::vector<geom::Vec2>{} : plan.positions));
+      // Each shard logs its flow events for the time-ordered merge.
+      mine.back()->flows.enable_event_log();
       worlds[s] = mine.back().get();
     }
     // Publish worlds[] (and consume everyone else's) before any cross-shard
     // outbox access.
     barrier.arrive_and_wait();
 
-    // t = 0: start protocols, environment drivers, and traffic in the
-    // serial SimInstance order, then publish the initial bounds (parity
+    // t = 0: start every world, then publish the initial bounds (parity
     // buffer 0 — the startup acts as round 0).
     for (std::uint32_t s = lo; s < hi; ++s) {
-      ShardWorld& world = *worlds[s];
-      world.network->start_protocols();
-      if (world.failures != nullptr) world.failures->start();
-      if (world.mobility != nullptr) world.mobility->start();
-      for (auto& source : world.sources) source->start();
-      bounds[0][s] = shard_bound(world, 0.0, mac);
+      worlds[s]->start();
+      bounds[0][s] = shard_bound(*worlds[s], 0.0, mac);
     }
     barrier.arrive_and_wait();
 
@@ -648,10 +382,9 @@ ScenarioResult run_scenario_sharded(const ScenarioConfig& config,
               worlds[rec.src]->network->evict_node(rec.node);
             }
             if (rec.dst >= lo && rec.dst < hi) {
-              ShardWorld& world = *worlds[rec.dst];
+              World& world = *worlds[rec.dst];
               net::Node& node = world.network->adopt_node(rec.node);
-              SimInstance::attach_protocol(config, node, world.flood_policy);
-              app::attach_sink(node, world.flows);
+              world.attach(node);
               node.protocol().start();
               world.network->channel().restore_frame_counter(
                   rec.node, rec.frame_counter);
@@ -695,32 +428,15 @@ ScenarioResult run_scenario_sharded(const ScenarioConfig& config,
     // Harvest on the owning thread (snapshot_metrics walks thread-local
     // pool-backed structures), then destroy the worlds here too.
     for (std::uint32_t s = lo; s < hi; ++s) {
-      harvest_shard(*worlds[s], outcomes[s], track_energy);
+      outcomes[s] = harvest_world(*worlds[s]);
       if (migrated[s] > 0) {
         outcomes[s].metrics.add(obs::metric::kSimNodeMigrations, migrated[s]);
       }
     }
     mine.clear();
-
-    namespace m = obs::metric;
-    obs::MetricRegistry& pools = pool_metrics[t];
-    pools.add(m::kPoolPacketAllocs, pkt_pool.stats().pool_allocs +
-                                        pkt_pool.stats().heap_allocs -
-                                        pkt_allocs_base);
-    pools.add(m::kPoolPacketHeapAllocs,
-              pkt_pool.stats().heap_allocs - pkt_heap_base);
-    pools.set_max(m::kPoolPacketInUseHighWater, pkt_pool.in_use_high_water());
-    std::uint64_t obj_allocs = 0;
-    std::uint64_t obj_heap = 0;
-    std::uint64_t obj_hw = 0;
-    for_each_object_pool([&](const util::PayloadPool& pool) {
-      obj_allocs += pool.stats().pool_allocs + pool.stats().heap_allocs;
-      obj_heap += pool.stats().heap_allocs;
-      obj_hw += pool.in_use_high_water();
-    });
-    pools.add(m::kPoolObjectAllocs, obj_allocs - obj_allocs_base);
-    pools.add(m::kPoolObjectHeapAllocs, obj_heap - obj_heap_base);
-    pools.set_max(m::kPoolObjectInUseHighWater, obj_hw);
+    // Registry merges commute, so this worker's pool deltas ride along
+    // with its first shard's outcome.
+    pools.add_deltas(outcomes[lo].metrics);
 
     if (want_trace) {
       trace_rings[t] = tracer->snapshot();
@@ -737,14 +453,13 @@ ScenarioResult run_scenario_sharded(const ScenarioConfig& config,
   for (std::thread& th : pool) th.join();
 
   // ---- Deterministic merge (coordinator, after join). ----
-  ScenarioResult r;
   app::FlowStats flows;
   {
     std::vector<app::FlowStats::FlowEvent> merged;
     std::size_t total = 0;
-    for (const ShardOutcome& out : outcomes) total += out.flow_log.size();
+    for (const WorldOutcome& out : outcomes) total += out.flow_log.size();
     merged.reserve(total);
-    for (const ShardOutcome& out : outcomes) {
+    for (const WorldOutcome& out : outcomes) {
       merged.insert(merged.end(), out.flow_log.begin(), out.flow_log.end());
     }
     // Each shard's log is already time-sorted (execution order); a stable
@@ -761,45 +476,7 @@ ScenarioResult run_scenario_sharded(const ScenarioConfig& config,
       flows.replay(event);
     }
   }
-
-  r.sent = flows.sent();
-  r.delivered = flows.delivered();
-  r.delivery_ratio = flows.delivery_ratio();
-  r.mean_delay_s = flows.delay().empty() ? 0.0 : flows.delay().mean();
-  r.mean_hops = flows.hops().empty() ? 0.0 : flows.hops().mean();
-  obs::Histogram backoff_slots;
-  for (const ShardOutcome& out : outcomes) {
-    r.mac_packets += out.mac_tx;
-    r.channel_transmissions += out.channel_tx;
-    r.events_executed += out.events_executed;
-    r.metrics.merge(out.metrics);  // shard-index order
-    backoff_slots.merge(out.backoff_slots);
-  }
-  if (track_energy) {
-    // Exactly one shard reported each node (migrations re-home the meter
-    // with the node). Summing in node-id order reproduces the serial FP
-    // accumulation bit-for-bit regardless of final ownership.
-    std::vector<std::pair<std::uint32_t, double>> energy;
-    for (const ShardOutcome& out : outcomes) {
-      energy.insert(energy.end(), out.energy.begin(), out.energy.end());
-    }
-    std::sort(energy.begin(), energy.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    double joules = 0.0;
-    for (const auto& [id, j] : energy) joules += j;
-    r.total_energy_j = joules;
-    if (r.delivered > 0) {
-      r.energy_per_delivered_j = joules / static_cast<double>(r.delivered);
-    }
-  }
-  // Percentiles come from the UNION histogram — merging per-shard p50/p99
-  // gauges by max would not match the serial flattening.
-  if (!backoff_slots.empty()) {
-    backoff_slots.snapshot_into(r.metrics, obs::metric::kMacBackoffSlots);
-  }
-  for (const obs::MetricRegistry& pools : pool_metrics) {
-    r.metrics.merge(pools);
-  }
+  ScenarioResult r = assemble_result(flows, outcomes);
   if (profiler != nullptr) profiler->snapshot_into(r.metrics);
   if (monitor != nullptr) {
     if (profiler != nullptr) monitor->note_profile(*profiler);

@@ -1,6 +1,6 @@
 // des::LadderQueue: ordering, FIFO discipline, allocation-free reuse, a
 // randomized model test, a heap-vs-ladder cross-check on one workload, and
-// the serial==ladder bit-identical scenario determinism gate.
+// the Scheduler built on it against a sorted reference under churn.
 #include "des/ladder_queue.hpp"
 
 #include <algorithm>
@@ -13,8 +13,6 @@
 #include "des/quad_heap.hpp"
 #include "des/rng.hpp"
 #include "des/scheduler.hpp"
-#include "obs/metrics.hpp"
-#include "sim/runner.hpp"
 
 namespace rrnet::des {
 namespace {
@@ -163,9 +161,9 @@ TEST(LadderQueue, CrossCheckAgainstQuadHeapOnRandomWorkload) {
 }
 
 // Same-timestamp FIFO across the full Scheduler under cancel/reschedule
-// churn on the ladder backend (mirrors the QuadHeapScheduler test).
+// churn (mirrors the QuadHeapScheduler test).
 TEST(LadderScheduler, SameTimestampFifoUnderChurn) {
-  Scheduler sched(QueueBackend::Ladder);
+  Scheduler sched;
   std::vector<int> order;
   std::vector<EventId> cancelled;
   constexpr Time kT = 1.0;
@@ -186,67 +184,46 @@ TEST(LadderScheduler, SameTimestampFifoUnderChurn) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(order[i], i);
 }
 
-// Both scheduler backends run the same randomized schedule/cancel workload
-// and must execute callbacks in exactly the same order.
-TEST(LadderScheduler, BackendsExecuteIdenticalOrderUnderChurn) {
-  const auto run_backend = [](QueueBackend backend) {
-    Scheduler sched(backend);
-    Rng rng(77);
-    std::vector<std::uint64_t> order;
-    std::vector<EventId> ids;
-    for (int round = 0; round < 40; ++round) {
-      for (std::uint64_t i = 0; i < 200; ++i) {
-        const std::uint64_t tag = round * 1000 + i;
-        ids.push_back(
-            sched.schedule_in(rng.uniform01() * 4.0,
-                              [&order, tag]() { order.push_back(tag); }));
-      }
-      for (std::size_t i = 0; i < ids.size(); i += 3) sched.cancel(ids[i]);
-      ids.clear();
-      sched.run_until(sched.now() + 1.0);
-    }
-    sched.run();
-    return order;
+// A randomized schedule/cancel workload runs exactly its uncancelled
+// events, in (time, insertion) order: the insertion sequence stably sorted
+// by time.
+TEST(LadderScheduler, ChurnMatchesStableSortReference) {
+  struct Scheduled {
+    Time at;
+    std::uint64_t tag;
+    bool cancelled;
   };
-  const std::vector<std::uint64_t> heap_order = run_backend(QueueBackend::Heap);
-  const std::vector<std::uint64_t> ladder_order =
-      run_backend(QueueBackend::Ladder);
-  ASSERT_EQ(heap_order.size(), ladder_order.size());
-  EXPECT_EQ(heap_order, ladder_order);
-}
-
-// The serial==ladder determinism gate: a full fig3-style scenario produces
-// bit-identical metric snapshots on both queue backends. Any divergence
-// means the ladder broke the strict (time, sequence) total order.
-TEST(LadderScheduler, ScenarioBitIdenticalAcrossBackends) {
-  sim::ScenarioConfig config;
-  config.seed = 11;
-  config.nodes = 30;
-  config.width_m = 600.0;
-  config.height_m = 600.0;
-  config.range_m = 250.0;
-  config.protocol = sim::ProtocolKind::Routeless;
-  config.pairs = 2;
-  config.cbr_interval = 1.0;
-  config.payload_bytes = 128;
-  config.traffic_start = 1.0;
-  config.traffic_stop = 8.0;
-  config.sim_end = 15.0;
-
-  config.scheduler_queue = QueueBackend::Heap;
-  const sim::ScenarioResult serial = sim::run_scenario(config);
-  config.scheduler_queue = QueueBackend::Ladder;
-  const sim::ScenarioResult ladder = sim::run_scenario(config);
-
-  EXPECT_EQ(serial.events_executed, ladder.events_executed);
-  EXPECT_EQ(serial.delivered, ladder.delivered);
-  const std::vector<obs::Metric> ss = serial.metrics.snapshot();
-  const std::vector<obs::Metric> ls = ladder.metrics.snapshot();
-  ASSERT_EQ(ss.size(), ls.size());
-  for (std::size_t i = 0; i < ss.size(); ++i) {
-    EXPECT_EQ(ss[i].name, ls[i].name);
-    EXPECT_EQ(ss[i].value, ls[i].value) << ss[i].name;
+  Scheduler sched;
+  Rng rng(77);
+  std::vector<std::uint64_t> order;
+  std::vector<Scheduled> reference;
+  std::vector<EventId> ids;
+  for (int round = 0; round < 40; ++round) {
+    const std::size_t first = reference.size();
+    for (std::uint64_t i = 0; i < 200; ++i) {
+      const std::uint64_t tag = round * 1000 + i;
+      const Time delay = rng.uniform01() * 4.0;
+      reference.push_back({sched.now() + delay, tag, false});
+      ids.push_back(
+          sched.schedule_in(delay, [&order, tag]() { order.push_back(tag); }));
+    }
+    for (std::size_t i = 0; i < ids.size(); i += 3) {
+      EXPECT_TRUE(sched.cancel(ids[i]));
+      reference[first + i].cancelled = true;
+    }
+    ids.clear();
+    sched.run_until(sched.now() + 1.0);
   }
+  sched.run();
+
+  std::erase_if(reference, [](const Scheduled& e) { return e.cancelled; });
+  std::stable_sort(reference.begin(), reference.end(),
+                   [](const Scheduled& a, const Scheduled& b) {
+                     return a.at < b.at;
+                   });
+  std::vector<std::uint64_t> expected;
+  for (const Scheduled& e : reference) expected.push_back(e.tag);
+  EXPECT_EQ(order, expected);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/profiler.hpp"
 #include "sim/builder.hpp"
 #include "sim/replication.hpp"
 #include "sim/runner.hpp"
@@ -122,6 +123,22 @@ TEST(SimInstance, RadioCalibratedToConfiguredRange) {
   config.range_m = 180.0;
   SimInstance sim(config);
   EXPECT_NEAR(sim.network().channel().nominal_range_m(), 180.0, 1.0);
+}
+
+TEST(SimInstance, HealthMonitorRestartsForEachRun) {
+  // One monitor reused across serial runs: each run starts it afresh when
+  // its world is built, so the second run's report is its own.
+  obs::RunHealthMonitor monitor;
+  for (const ProtocolKind kind : {ProtocolKind::Ssaf, ProtocolKind::Routeless}) {
+    SCOPED_TRACE(to_string(kind));
+    ScenarioConfig config = small_scenario(kind);
+    config.health_monitor = &monitor;
+    SimInstance sim(config);
+    sim.run();
+    EXPECT_GT(sim.scheduler().executed_count(), 0u);
+    EXPECT_EQ(monitor.events(), sim.scheduler().executed_count());
+    EXPECT_GT(monitor.wall_s(), 0.0);
+  }
 }
 
 // Compare two summaries bit-exactly (NaN-safe): determinism means identical
@@ -347,6 +364,109 @@ TEST(Harvest, RebuiltScenarioGetsAscendingNodeMemory) {
       sim.run();
     }
   }).join();
+}
+
+/// Whole-scenario serial results, pinned. The serial==sharded gates compare
+/// two engines that share one world builder, so they cannot see a change
+/// that moves both the same way; these fixed values can.
+struct PinnedRun {
+  const char* name;
+  ScenarioConfig config;
+  std::uint64_t sent;
+  std::uint64_t delivered;
+  std::uint64_t mac_packets;
+  std::uint64_t mean_delay_bits;
+  std::uint64_t total_energy_bits;
+  /// FNV-1a over (name, value) of every entry outside des.* / pool.* / sim.*.
+  std::uint64_t metrics_hash;
+};
+
+std::uint64_t semantic_metrics_hash(const obs::MetricRegistry& reg) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](const void* data, std::size_t len) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < len; ++i) {
+      h ^= p[i];
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const obs::Metric& metric : reg.snapshot()) {
+    if (metric.name.rfind("des.", 0) == 0 ||
+        metric.name.rfind("pool.", 0) == 0 ||
+        metric.name.rfind("sim.", 0) == 0) {
+      continue;
+    }
+    mix(metric.name.data(), metric.name.size());
+    mix(&metric.value, sizeof(metric.value));
+  }
+  return h;
+}
+
+std::vector<PinnedRun> pinned_runs() {
+  std::vector<PinnedRun> runs;
+  {
+    ScenarioConfig c = small_scenario(ProtocolKind::Ssaf);
+    c.nodes = 50;
+    c.width_m = 900.0;
+    c.height_m = 900.0;
+    c.require_connected_pairs = true;
+    c.min_pair_hops = 3;
+    runs.push_back({"ssaf_connected_pairs", c, 14, 10, 395,
+                    0x3f94d11a2bb92173, 0x0, 0xe255b1ecdb8ad0ea});
+  }
+  {
+    ScenarioConfig c = small_scenario(ProtocolKind::Routeless);
+    c.bidirectional = true;
+    runs.push_back({"routeless_bidirectional", c, 28, 28, 151,
+                    0x3f80b378b3908eae, 0x0, 0x426dfffb7a488af7});
+  }
+  {
+    ScenarioConfig c = small_scenario(ProtocolKind::Counter1Flooding);
+    c.failure_fraction = 0.3;
+    c.failure_cycle_s = 2.0;
+    c.track_energy = true;
+    runs.push_back({"failures_energy", c, 14, 14, 205, 0x3f70b31d2c090192,
+                    0x40243eda3db452ca, 0x22bacaad737b7891});
+  }
+  {
+    ScenarioConfig c = small_scenario(ProtocolKind::Aodv);
+    c.mobility = true;
+    c.mobility_min_speed_mps = 10.0;
+    c.mobility_max_speed_mps = 30.0;
+    c.propagation = PropagationKind::Rayleigh;
+    runs.push_back({"mobility_rayleigh", c, 14, 8, 5063,
+                    0x3fdcfacfa7938060, 0x0, 0xf588362d5f0c8b45});
+  }
+  {
+    ScenarioConfig c = small_scenario(ProtocolKind::Dsr);
+    c.explicit_pairs = {{0, 7}, {12, 3}};
+    c.explicit_pair_intervals = {0.25, 0.0};
+    c.trace_paths = true;
+    runs.push_back({"explicit_pairs_traced", c, 35, 35, 170,
+                    0x3f6c05ebe46be6d8, 0x0, 0x38befb38adeadb19});
+  }
+  return runs;
+}
+
+TEST(SerialResults, PinnedAcrossScenarioShapes) {
+  for (const PinnedRun& want : pinned_runs()) {
+    SCOPED_TRACE(want.name);
+    SimInstance sim(want.config);
+    sim.run();
+    const ScenarioResult r = sim.result();
+    const auto bits = [](double d) {
+      std::uint64_t u;
+      std::memcpy(&u, &d, sizeof(u));
+      return u;
+    };
+    EXPECT_GT(r.delivered, 0u);
+    EXPECT_EQ(r.sent, want.sent);
+    EXPECT_EQ(r.delivered, want.delivered);
+    EXPECT_EQ(r.mac_packets, want.mac_packets);
+    EXPECT_EQ(bits(r.mean_delay_s), want.mean_delay_bits);
+    EXPECT_EQ(bits(r.total_energy_j), want.total_energy_bits);
+    EXPECT_EQ(semantic_metrics_hash(r.metrics), want.metrics_hash);
+  }
 }
 
 TEST(Replication, ParallelIsBitIdenticalToSerial) {
