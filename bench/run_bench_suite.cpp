@@ -283,6 +283,14 @@ BenchResult bench_pool_box_release() {
   });
 }
 
+/// Events a scheduler has executed or taken in place
+/// (Scheduler::advance_if_next): the work unit of the PHY and scenario
+/// entries, so their ns/event stays comparable with baselines recorded
+/// before broadcast walkers stepped in place.
+std::uint64_t events_and_inline_advances(const des::Scheduler& sched) {
+  return sched.executed_count() + sched.inline_advance_count();
+}
+
 struct NullListener final : phy::RadioListener {
   void on_receive(const phy::Airframe&, const phy::RxInfo&) override {}
   void on_tx_done(std::uint64_t) override {}
@@ -305,10 +313,9 @@ BenchResult bench_channel_broadcast(std::size_t nodes) {
     channel.transceiver(i).attach(listeners[i]);
   }
   std::uint32_t sender = 0;
-  std::uint64_t executed0 = 0;
-  auto result = measure(
+  return measure(
       "channel_broadcast_n" + std::to_string(nodes), 1.0, [&]() {
-        const std::uint64_t before = sched.executed_count();
+        const std::uint64_t before = events_and_inline_advances(sched);
         for (int round = 0; round < 64; ++round) {
           phy::Airframe frame;
           frame.sender = sender++ % static_cast<std::uint32_t>(nodes);
@@ -317,10 +324,8 @@ BenchResult bench_channel_broadcast(std::size_t nodes) {
           channel.transmit(frame);
           sched.run();  // drain all reception events
         }
-        return sched.executed_count() - before;
+        return events_and_inline_advances(sched) - before;
       });
-  (void)executed0;
-  return result;
 }
 
 // Dense concurrent signals: every node in one radio neighborhood, many
@@ -347,7 +352,7 @@ BenchResult bench_dense_signals() {
     channel.transceiver(i).attach(listeners[i]);
   }
   return measure("channel_dense_signals", 1.0, [&]() {
-    const std::uint64_t before = sched.executed_count();
+    const std::uint64_t before = events_and_inline_advances(sched);
     for (int round = 0; round < 32; ++round) {
       // Launch all senders before draining: their airtimes overlap, so
       // every receiver accumulates ~kSenders concurrent ActiveSignals.
@@ -360,7 +365,7 @@ BenchResult bench_dense_signals() {
       }
       sched.run();
     }
-    return sched.executed_count() - before;
+    return events_and_inline_advances(sched) - before;
   });
 }
 
@@ -391,7 +396,8 @@ BenchResult bench_scenario(const std::string& name, sim::ProtocolKind proto,
   sim::ScenarioResult last;
   BenchResult bench = measure(name, 1.0, [&]() {
     last = sim::run_scenario(config);
-    return last.events_executed;
+    return last.events_executed +
+           last.metrics.value(rrnet::obs::metric::kDesInlineAdvances);
   });
   bench.threads =
       shards == 1 ? 1
@@ -419,7 +425,7 @@ BenchResult bench_scenario(const std::string& name, sim::ProtocolKind proto,
        {m::kPhyDropCollision, m::kPhyDropBelowSensitivity,
         m::kPhyTxDroppedBusy, m::kPhyDropAbortedOff, m::kMacRetries,
         m::kMacBackoffs, m::kNetTxControl, m::kNetDupCacheHits,
-        m::kElectionWon, m::kDesEventsExecuted}) {
+        m::kElectionWon, m::kDesEventsExecuted, m::kDesInlineAdvances}) {
     if (last.metrics.contains(key)) {
       bench.counters.emplace_back(std::string(key), last.metrics.value(key));
     }

@@ -106,9 +106,21 @@ bool Scheduler::step() {
   return true;
 }
 
+bool Scheduler::advance_if_next(Time t) {
+  RRNET_ASSERT(t >= now_);
+  if (t > advance_bound_) return false;
+  if (settle_top() && queue_.top().time <= t) return false;
+  now_ = t;
+  ++inline_advances_;
+  return true;
+}
+
 void Scheduler::run() {
+  const Time outer = std::exchange(
+      advance_bound_, std::numeric_limits<Time>::infinity());
   while (step()) {
   }
+  advance_bound_ = outer;
 }
 
 Time Scheduler::next_event_time() noexcept {
@@ -118,22 +130,30 @@ Time Scheduler::next_event_time() noexcept {
 
 void Scheduler::run_until(Time t_end) {
   RRNET_EXPECTS(t_end >= now_);
+  const Time outer = std::exchange(advance_bound_, t_end);
   while (settle_top() && queue_.top().time <= t_end) {
     step();
   }
+  advance_bound_ = outer;
   now_ = t_end;
 }
 
 bool Scheduler::run_until(Time t_end, std::uint64_t max_events) {
   RRNET_EXPECTS(t_end >= now_);
+  const Time outer = std::exchange(advance_bound_, t_end);
   std::uint64_t executed = 0;
+  bool drained = true;
   while (settle_top() && queue_.top().time <= t_end) {
-    if (executed == max_events) return false;
+    if (executed == max_events) {
+      drained = false;
+      break;
+    }
     step();
     ++executed;
   }
-  now_ = t_end;
-  return true;
+  advance_bound_ = outer;
+  if (drained) now_ = t_end;
+  return drained;
 }
 
 }  // namespace rrnet::des

@@ -14,9 +14,15 @@
 // Callbacks are des::InlineCallback, not std::function: captures live inside
 // the pooled slot (zero heap allocations per event in steady state) and a
 // capture larger than the inline budget is a compile-time error.
+//
+// A self-rescheduling event whose next firing would be the very next event
+// anyway can take it in place with advance_if_next(): the clock moves, the
+// queue is untouched, and the simulated order is exactly what the re-push
+// would have produced (DESIGN.md §7, "In-place advance").
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -95,6 +101,20 @@ class Scheduler {
   /// Execute at most one event; returns false when the queue is empty.
   bool step();
 
+  /// Move the clock to `t` (>= now()) in place, without a queue push or
+  /// pop, iff an event scheduled now at `t` would be the next to run:
+  /// every live pending event is strictly later than `t` (an equal time
+  /// refuses — a re-push would sort after it by sequence), and `t` lies
+  /// within the enclosing run's bound: run_until's t_end, none under
+  /// run(), the stop time under a bare step(). Returns whether it moved.
+  /// Meant for an executing callback that would otherwise reschedule
+  /// itself at `t`: it continues in place instead.
+  bool advance_if_next(Time t);
+  /// Bound on in-place advances for steps taken outside run()/run_until()
+  /// (a bare step() loop up to `t` then folds what run_until(t) folds).
+  /// Until set, a bare step() never advances in place.
+  void set_stop_time(Time t) noexcept { advance_bound_ = t; }
+
   /// Absolute time of the earliest live pending event, or +infinity when
   /// the queue holds none. Non-const: cancelled entries at the top are
   /// discarded lazily on the way (the same settle run_until/step pay). The
@@ -104,6 +124,11 @@ class Scheduler {
   [[nodiscard]] std::size_t pending_count() const noexcept { return live_; }
   [[nodiscard]] std::uint64_t executed_count() const noexcept {
     return executed_;
+  }
+  /// Successful advance_if_next() calls: steps a callback took in place,
+  /// each one an event the queue would otherwise have executed.
+  [[nodiscard]] std::uint64_t inline_advance_count() const noexcept {
+    return inline_advances_;
   }
   /// Deepest the event queue has ever been (queue-pressure gauge).
   [[nodiscard]] std::size_t heap_high_water() const noexcept {
@@ -140,8 +165,12 @@ class Scheduler {
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   Time now_ = 0.0;
+  /// Latest time advance_if_next() may reach: the stop time between run
+  /// loops, the loop's own bound inside one.
+  Time advance_bound_ = -std::numeric_limits<Time>::infinity();
   std::uint64_t next_sequence_ = 0;
   std::uint64_t executed_ = 0;
+  std::uint64_t inline_advances_ = 0;
   std::size_t live_ = 0;
 };
 

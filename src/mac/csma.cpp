@@ -108,20 +108,30 @@ void CsmaMac::start_backoff() {
     return;
   }
   // Only the final slot's expiry transmits, but the whole countdown can run
-  // inside one synchronization window, so the armed-transmit note must be
-  // pushed NOW for the countdown's end. Accumulate hop by hop — each slot
-  // timer fires at exactly (previous expiry + slot_time), so repeating the
-  // same additions reproduces the final expiry bit-for-bit. A pause only
+  // inside one synchronization window, so the sharded engine's armed-
+  // transmit note must be pushed NOW for the countdown's end. Accumulate
+  // hop by hop — each slot timer fires at exactly (previous expiry +
+  // slot_time), so repeating the same additions reproduces the final
+  // expiry bit-for-bit. The slot ticks below would note that same value
+  // again, so only a countdown's start or resume notes it. A pause only
   // delays the transmit, leaving this note a stale (conservative) bound.
-  des::Time armed = scheduler_->now();
-  for (std::uint32_t i = 0; i < slots_left_; ++i) armed += params_.slot_time;
-  channel_->note_armed_tx(armed);
+  if (channel_->sharded()) {
+    des::Time armed = scheduler_->now();
+    for (std::uint32_t i = 0; i < slots_left_; ++i) armed += params_.slot_time;
+    channel_->note_armed_tx(armed);
+  }
+  arm_slot_tick();
+}
+
+void CsmaMac::arm_slot_tick() {
   backoff_timer_.start(params_.slot_time, [this]() {
-    --slots_left_;
-    if (slots_left_ == 0) {
+    // Every exit from Backoff cancels this timer (pause_backoff,
+    // finish_current), so the state start_backoff set still holds.
+    RRNET_ASSERT(state_ == TxState::Backoff);
+    if (--slots_left_ == 0) {
       transmit_current();
     } else {
-      start_backoff();
+      arm_slot_tick();
     }
   });
 }

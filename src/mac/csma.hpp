@@ -165,6 +165,8 @@ class CsmaMac final : public phy::RadioListener, public util::PoolAllocated {
   void begin_attempt();
   void start_difs();
   void start_backoff();
+  /// One backoff slot: re-arms itself until the countdown reaches zero.
+  void arm_slot_tick();
   void pause_backoff();
   void transmit_current();
   void transmit_data_now();

@@ -195,6 +195,10 @@ inline constexpr std::string_view kArbiterGaveUp = "arbiter.gave_up";
 // Scheduler.
 inline constexpr std::string_view kDesEventsExecuted = "des.events_executed";
 inline constexpr std::string_view kDesHeapHighWater = "des.heap_high_water";
+/// Steps a callback took in place (Scheduler::advance_if_next): events the
+/// queue would otherwise have executed, so events_executed + this is the
+/// event count of a run without in-place advances.
+inline constexpr std::string_view kDesInlineAdvances = "des.inline_advances";
 
 // Pools and arenas (per-run deltas; gauges reset at run start).
 inline constexpr std::string_view kPoolPacketAllocs =

@@ -310,13 +310,13 @@ void Channel::start_transmission(const Airframe& frame, des::Time tx_time,
 
 void Channel::advance_transmission(std::uint32_t slot) {
   Transmission& tx = *transmissions_[slot];
-  const des::Time now = scheduler_->now();
+  des::Time now = scheduler_->now();
   for (;;) {
     const bool has_start = tx.next_start < tx.receivers.size();
     const bool has_end = tx.next_end < tx.receivers.size();
     if (!has_start && !has_end) break;
-    // End times are spelled `arrival + duration` everywhere (here and in
-    // signal_arrives below) so the merge compares bitwise-equal doubles.
+    // End times are spelled `arrival + duration` everywhere in the merge
+    // so it compares bitwise-equal doubles.
     const bool do_start =
         has_start &&
         (!has_end || tx.receivers[tx.next_start].arrival <=
@@ -325,14 +325,19 @@ void Channel::advance_transmission(std::uint32_t slot) {
                               ? tx.receivers[tx.next_start].arrival
                               : tx.receivers[tx.next_end].arrival + tx.duration;
     if (due > now) {
-      scheduler_->schedule_at(due,
-                              [this, slot]() { advance_transmission(slot); });
-      if (shard_.sharded()) {
-        phy_event_heap_.push_back(due);
-        std::push_heap(phy_event_heap_.begin(), phy_event_heap_.end(),
-                       std::greater<>{});
+      if (!scheduler_->advance_if_next(due)) {
+        scheduler_->schedule_at(
+            due, [this, slot]() { advance_transmission(slot); });
+        if (shard_.sharded()) {
+          phy_event_heap_.push_back(due);
+          std::push_heap(phy_event_heap_.begin(), phy_event_heap_.end(),
+                         std::greater<>{});
+        }
+        return;
       }
-      return;
+      // Nothing runs before `due`: the step is taken in place. It lies
+      // inside the running window, so the sharded bound needs no note.
+      now = due;
     }
     if (do_start) {
       PendingRx& rx = tx.receivers[tx.next_start++];
@@ -340,8 +345,7 @@ void Channel::advance_transmission(std::uint32_t slot) {
       rx.could_decode = !trx.is_off() && rx.power_mw >= rx_threshold_mw_;
       // Remember the receiver's slot: the matching end below erases in
       // O(1) instead of re-finding the frame id.
-      rx.slot = trx.signal_arrives(tx.frame, rx.power_mw, now,
-                                   rx.arrival + tx.duration);
+      rx.slot = trx.signal_arrives(tx.frame, rx.power_mw, now);
     } else {
       const PendingRx& rx = tx.receivers[tx.next_end++];
       Transceiver& trx = *transceivers_[rx.rx_id];

@@ -11,7 +11,11 @@
 // O(receivers), which keeps it shallow exactly when §3 floods make
 // neighborhoods dense. Start/end interleaving, power draws (grid-query
 // order at transmit time), and same-timestamp ordering (starts before
-// ends; equal arrivals in query order) are preserved bit-for-bit.
+// ends; equal arrivals in query order) are preserved bit-for-bit. While the
+// walker's next receiver is also the scheduler's next event, the walker
+// moves the clock there in place (des::Scheduler::advance_if_next) and
+// keeps walking; it goes back through the queue only when another event
+// falls in between.
 #pragma once
 
 #include <algorithm>

@@ -5,8 +5,8 @@
 // every interference query a pointer-chasing scan with a branch per
 // element; in the §3 dense-flood scenarios each node evaluates tens of
 // overlapping signals per reception (bench: channel_dense_signals). Here
-// each field lives in its own parallel array — frame ids, powers (mW),
-// end times — indexed by a stable slot:
+// each field lives in its own parallel array — frame ids, powers (mW) —
+// indexed by a stable slot:
 //
 //  * insert() reuses the most recently freed slot (LIFO free list) or
 //    appends; erase_slot() zeroes the slot's power and parks it on the
@@ -28,7 +28,7 @@
 //    whole slot range is truncated at the same point, keeping the dense
 //    loops as short as the densest overlap actually seen.
 //
-// All four arrays live in ONE block carved from the thread-local
+// All three arrays live in ONE block carved from the thread-local
 // PayloadPool: per-instance construction is a single pool pop (and a push
 // at destruction), so scenario replications that churn whole Channels
 // stay allocation-free in steady state; reserve_blocks() carves the pool
@@ -41,7 +41,6 @@
 #include <cstring>
 #include <utility>
 
-#include "des/time.hpp"
 #include "util/pool.hpp"
 
 namespace rrnet::phy {
@@ -87,8 +86,7 @@ class SignalMap {
   }
 
   /// Add a signal; frame ids must be unique among active signals.
-  std::uint32_t insert(std::uint64_t frame_id, double power_mw,
-                       des::Time end_time) {
+  std::uint32_t insert(std::uint64_t frame_id, double power_mw) {
     std::uint32_t slot;
     if (free_count_ > 0) {
       slot = free_[--free_count_];
@@ -98,7 +96,6 @@ class SignalMap {
     }
     ids_[slot] = frame_id;
     powers_[slot] = power_mw;
-    ends_[slot] = end_time;
     ++active_;
     total_power_mw_ += power_mw;
     return slot;
@@ -164,12 +161,11 @@ class SignalMap {
   static constexpr std::uint32_t kReservedSignals = 8;
   static constexpr std::uint64_t kEmptyFrameId = ~0ull;
 
-  // One block, four arrays: [ids u64*C][powers f64*C][ends f64*C][free u32*C].
+  // One block, three arrays: [ids u64*C][powers f64*C][free u32*C].
   // The 8-byte-aligned arrays come first so every base pointer is aligned.
   static constexpr std::size_t block_bytes(std::uint32_t capacity) noexcept {
     return static_cast<std::size_t>(capacity) *
-           (sizeof(std::uint64_t) + sizeof(double) + sizeof(des::Time) +
-            sizeof(std::uint32_t));
+           (sizeof(std::uint64_t) + sizeof(double) + sizeof(std::uint32_t));
   }
 
   void allocate_block(std::uint32_t capacity) {
@@ -179,8 +175,7 @@ class SignalMap {
         util::payload_pool<SignalMap>().allocate(block_bytes(capacity));
     ids_ = static_cast<std::uint64_t*>(block);
     powers_ = reinterpret_cast<double*>(ids_ + capacity);
-    ends_ = reinterpret_cast<des::Time*>(powers_ + capacity);
-    free_ = reinterpret_cast<std::uint32_t*>(ends_ + capacity);
+    free_ = reinterpret_cast<std::uint32_t*>(powers_ + capacity);
     capacity_ = capacity;
   }
 
@@ -189,7 +184,6 @@ class SignalMap {
     allocate_block(old.capacity_ * 2);
     std::memcpy(ids_, old.ids_, old.count_ * sizeof(std::uint64_t));
     std::memcpy(powers_, old.powers_, old.count_ * sizeof(double));
-    std::memcpy(ends_, old.ends_, old.count_ * sizeof(des::Time));
     std::memcpy(free_, old.free_, old.free_count_ * sizeof(std::uint32_t));
     count_ = old.count_;
     free_count_ = old.free_count_;
@@ -206,7 +200,6 @@ class SignalMap {
   void steal(SignalMap& other) noexcept {
     ids_ = other.ids_;
     powers_ = other.powers_;
-    ends_ = other.ends_;
     free_ = other.free_;
     capacity_ = other.capacity_;
     count_ = other.count_;
@@ -215,7 +208,6 @@ class SignalMap {
     total_power_mw_ = other.total_power_mw_;
     other.ids_ = nullptr;
     other.powers_ = nullptr;
-    other.ends_ = nullptr;
     other.free_ = nullptr;
     other.capacity_ = 0;
     other.count_ = 0;
@@ -226,7 +218,6 @@ class SignalMap {
 
   std::uint64_t* ids_ = nullptr;
   double* powers_ = nullptr;
-  des::Time* ends_ = nullptr;
   std::uint32_t* free_ = nullptr;
   std::uint32_t capacity_ = 0;
   std::uint32_t count_ = 0;      ///< dense slot range (active + parked)

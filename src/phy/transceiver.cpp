@@ -65,8 +65,7 @@ void Transceiver::end_transmit(std::uint64_t frame_id, des::Time /*now*/) {
 }
 
 std::uint32_t Transceiver::signal_arrives(const Airframe& frame,
-                                          double power_mw, des::Time now,
-                                          des::Time end_time) {
+                                          double power_mw, des::Time now) {
   ++stats_.signals_arrived;
   if (state_ == RadioState::Off) {
     ++stats_.frames_while_off;
@@ -74,7 +73,7 @@ std::uint32_t Transceiver::signal_arrives(const Airframe& frame,
                       obs::DropReason::RadioOff);
     return SignalMap::kNoSlot;
   }
-  const std::uint32_t slot = signals_.insert(frame.id, power_mw, end_time);
+  const std::uint32_t slot = signals_.insert(frame.id, power_mw);
 
   const bool decodable = power_mw >= rx_threshold_mw_;
   if (decodable && state_ == RadioState::Idle && !has_lock_) {

@@ -155,7 +155,7 @@ class Transceiver : public util::PoolAllocated {
   /// Power is in mW — the whole arrival path (threshold, SINR, map) runs
   /// in the linear domain; dBm reappears only in the decode-time RxInfo.
   std::uint32_t signal_arrives(const Airframe& frame, double power_mw,
-                               des::Time now, des::Time end_time);
+                               des::Time now);
   /// `slot` is the value signal_arrives returned; stale slots (radio was
   /// cycled off in between) are detected by frame-id mismatch and ignored.
   void signal_ends(const Airframe& frame, std::uint32_t slot, des::Time now);

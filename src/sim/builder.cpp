@@ -225,6 +225,8 @@ std::unique_ptr<World> build_world(const WorldPlan& plan,
                                    std::vector<geom::Vec2> positions) {
   const ScenarioConfig& config = plan.config;
   auto world = std::make_unique<World>(config);
+  // A bare step() loop up to sim_end folds what run_until(sim_end) folds.
+  world->scheduler.set_stop_time(config.sim_end);
 
   // Pre-carve this thread's object pools for the nodes this world owns: at
   // n = 10^6 the arenas would otherwise grow through thousands of
@@ -319,6 +321,8 @@ WorldOutcome harvest_world(World& world) {
   network.snapshot_metrics(out.metrics, out.backoff_slots);
   out.metrics.add(m::kDesEventsExecuted, world.scheduler.executed_count());
   out.metrics.set_max(m::kDesHeapHighWater, world.scheduler.heap_high_water());
+  out.metrics.add(m::kDesInlineAdvances,
+                  world.scheduler.inline_advance_count());
   out.flow_log = world.flows.take_event_log();
   out.mac_tx = network.total_mac_tx();
   out.channel_tx = network.channel().stats().transmissions;

@@ -6,9 +6,9 @@
 // count K, every semantic per-layer counter (phy.*, mac.*, net.*,
 // election.*, arbiter.*) and every flow metric (sent/delivered/delay/hops)
 // is bit-identical to the serial run. Engine-internal counters
-// (des.events_executed, des.heap_high_water, pool.*) depend on K — a
-// sharded run executes extra walker bookkeeping and splits pools across
-// workers — and are excluded from the contract.
+// (des.events_executed, des.inline_advances, des.heap_high_water, pool.*)
+// depend on K — a sharded run executes extra walker bookkeeping and splits
+// pools across workers — and are excluded from the contract.
 //
 // How the windows work, in one paragraph: each shard i publishes a lower
 // bound P_i on the earliest time it could put a frame on the air, derived

@@ -153,6 +153,81 @@ TEST(Scheduler, ManyInterleavedScheduleCancels) {
   EXPECT_EQ(fired, 500);
 }
 
+TEST(Scheduler, AdvanceIfNextRefusesAtEqualPendingTime) {
+  // A re-push at an occupied time would sort after the queued event (by
+  // sequence), so taking that time in place would jump the FIFO.
+  Scheduler sched;
+  std::vector<int> order;
+  sched.schedule_at(1.0, [&]() {
+    order.push_back(1);
+    EXPECT_FALSE(sched.advance_if_next(2.0));
+    EXPECT_DOUBLE_EQ(sched.now(), 1.0);
+    EXPECT_TRUE(sched.advance_if_next(1.5));
+    EXPECT_DOUBLE_EQ(sched.now(), 1.5);
+    order.push_back(15);
+  });
+  sched.schedule_at(2.0, [&]() { order.push_back(2); });
+  sched.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 15, 2}));
+  EXPECT_EQ(sched.executed_count(), 2u);
+  EXPECT_EQ(sched.inline_advance_count(), 1u);
+}
+
+TEST(Scheduler, AdvanceIfNextStaysWithinRunUntil) {
+  Scheduler sched;
+  sched.schedule_at(1.0, [&]() {
+    EXPECT_FALSE(sched.advance_if_next(3.5));
+    EXPECT_TRUE(sched.advance_if_next(3.0));  // the bound is inclusive
+  });
+  sched.run_until(3.0);
+  EXPECT_DOUBLE_EQ(sched.now(), 3.0);
+  // Both overloads bound it; run() does not.
+  sched.schedule_at(4.0, [&]() { EXPECT_FALSE(sched.advance_if_next(6.0)); });
+  EXPECT_TRUE(sched.run_until(5.0, 10));
+  sched.schedule_at(6.0, [&]() { EXPECT_TRUE(sched.advance_if_next(1e9)); });
+  sched.run();
+  EXPECT_DOUBLE_EQ(sched.now(), 1e9);
+  EXPECT_EQ(sched.inline_advance_count(), 2u);
+}
+
+TEST(Scheduler, AdvanceIfNextFromBareStepNeedsStopTime) {
+  Scheduler sched;
+  bool advanced = true;
+  sched.schedule_at(1.0, [&]() { advanced = sched.advance_if_next(2.0); });
+  EXPECT_TRUE(sched.step());
+  EXPECT_FALSE(advanced);  // no stop time: a bare step has no bound
+  // A run_until in between restores the no-bound state for bare steps.
+  sched.run_until(1.5);
+  sched.schedule_at(2.0, [&]() { advanced = sched.advance_if_next(3.0); });
+  EXPECT_TRUE(sched.step());
+  EXPECT_FALSE(advanced);
+
+  sched.set_stop_time(4.0);
+  sched.schedule_at(3.0, [&]() { advanced = sched.advance_if_next(4.0); });
+  EXPECT_TRUE(sched.step());
+  EXPECT_TRUE(advanced);
+  sched.schedule_at(5.0, [&]() { advanced = sched.advance_if_next(6.0); });
+  EXPECT_TRUE(sched.step());
+  EXPECT_FALSE(advanced);  // past the stop time
+  EXPECT_EQ(sched.inline_advance_count(), 1u);
+}
+
+TEST(Scheduler, AdvanceIfNextSettlesCancelledEntries) {
+  Scheduler sched;
+  const EventId earlier = sched.schedule_at(1.5, []() { ADD_FAILURE(); });
+  const EventId tied = sched.schedule_at(2.0, []() { ADD_FAILURE(); });
+  sched.schedule_at(1.0, [&]() {
+    EXPECT_FALSE(sched.advance_if_next(2.0));  // both still pending
+    sched.cancel(earlier);
+    sched.cancel(tied);
+    EXPECT_TRUE(sched.advance_if_next(2.0));  // only cancelled entries left
+  });
+  sched.run();
+  EXPECT_EQ(sched.executed_count(), 1u);
+  EXPECT_EQ(sched.pending_count(), 0u);
+  EXPECT_DOUBLE_EQ(sched.now(), 2.0);
+}
+
 TEST(Timer, FiresAfterDelay) {
   Scheduler sched;
   Timer timer(sched);
@@ -311,6 +386,74 @@ TEST_P(SchedulerFifoChurnTest, SameTimestampFifoSurvivesChurn) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerFifoChurnTest,
                          ::testing::Values(7u, 1234u, 0xDEADBEEFu));
+
+// Property: self-rescheduling walkers that take their next step in place
+// whenever advance_if_next allows execute exactly the (time, label)
+// sequence of the same walkers re-pushing every step — with dues on a
+// grid (ties with other walkers and with side events spawned at the
+// current time) and a run_until boundary mid-walk.
+std::vector<std::pair<Time, int>> run_walkers(std::uint64_t seed,
+                                              bool in_place,
+                                              std::uint64_t& folded) {
+  Scheduler sched;
+  std::uint64_t state = seed;
+  std::vector<std::pair<Time, int>> log;
+  // Dues step by 0..15 sixteenths: equal dues within a walker, ties
+  // across walkers and side events, and free gaps all occur.
+  const auto tick = [&state](std::uint64_t n) {
+    return static_cast<double>(splitmix64(state) % n) / 16.0;
+  };
+  std::vector<std::vector<Time>> dues(4);
+  std::vector<std::size_t> next(dues.size(), 0);
+  for (std::vector<Time>& d : dues) {
+    Time t = tick(16);
+    for (int k = 0; k < 40; ++k) {
+      t += tick(16);
+      d.push_back(t);
+    }
+  }
+  std::function<void(int)> walk = [&](int w) {
+    const std::vector<Time>& d = dues[static_cast<std::size_t>(w)];
+    std::size_t& i = next[static_cast<std::size_t>(w)];
+    for (; i < d.size(); ++i) {
+      if (d[i] > sched.now() &&
+          (!in_place || !sched.advance_if_next(d[i]))) {
+        sched.schedule_at(d[i], [&walk, w]() { walk(w); });
+        return;
+      }
+      log.emplace_back(sched.now(), w);
+      if (splitmix64(state) % 3 == 0) {
+        const int label = 100 + static_cast<int>(log.size());
+        sched.schedule_in(tick(3), [&log, &sched, label]() {
+          log.emplace_back(sched.now(), label);
+        });
+      }
+    }
+  };
+  for (int w = 0; w < static_cast<int>(dues.size()); ++w) {
+    sched.schedule_at(dues[static_cast<std::size_t>(w)].front(),
+                      [&walk, w]() { walk(w); });
+  }
+  sched.run_until(5.0);
+  sched.run();
+  folded = sched.inline_advance_count();
+  return log;
+}
+
+class InPlaceAdvanceTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(InPlaceAdvanceTest, MatchesReschedulingEveryStep) {
+  std::uint64_t none = 0;
+  std::uint64_t folded = 0;
+  const auto rescheduled = run_walkers(GetParam(), false, none);
+  const auto in_place = run_walkers(GetParam(), true, folded);
+  EXPECT_EQ(none, 0u);
+  EXPECT_GT(folded, 0u);
+  EXPECT_EQ(in_place, rescheduled);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, InPlaceAdvanceTest,
+                         ::testing::Values(3u, 77u, 2024u, 0xC0FFEEu));
 
 TEST(InlineCallback, MoveTransfersAndEmptiesSource) {
   int hits = 0;

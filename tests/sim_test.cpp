@@ -469,6 +469,65 @@ TEST(SerialResults, PinnedAcrossScenarioShapes) {
   }
 }
 
+/// Event counts of the pinned runs (plus a busier SSAF and Routeless
+/// Routing scenario) on an engine that re-pushed every broadcast walker
+/// step through the queue. Every step taken in place is one of those
+/// events, so executed + in-place must reproduce them exactly.
+TEST(SerialResults, InPlaceStepsAreEventsOfTheQueueOnlyEngine) {
+  std::vector<std::pair<std::string, ScenarioConfig>> runs;
+  for (const PinnedRun& run : pinned_runs()) {
+    runs.emplace_back(run.name, run.config);
+  }
+  runs.emplace_back("ssaf_busy", busy_scenario(ProtocolKind::Ssaf));
+  runs.emplace_back("routeless_busy", busy_scenario(ProtocolKind::Routeless));
+  const std::vector<std::pair<std::string, std::uint64_t>> queue_only = {
+      {"ssaf_connected_pairs", 40730},  {"routeless_bidirectional", 10255},
+      {"failures_energy", 14542},       {"mobility_rayleigh", 322475},
+      {"explicit_pairs_traced", 11212}, {"ssaf_busy", 1689741},
+      {"routeless_busy", 1704703}};
+  ASSERT_EQ(runs.size(), queue_only.size());
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    SCOPED_TRACE(runs[i].first);
+    ASSERT_EQ(runs[i].first, queue_only[i].first);
+    const ScenarioResult r = run_scenario(runs[i].second);
+    const std::uint64_t in_place =
+        r.metrics.value(obs::metric::kDesInlineAdvances);
+    EXPECT_GT(in_place, 0u);
+    EXPECT_EQ(r.events_executed + in_place, queue_only[i].second);
+  }
+}
+
+/// A step() loop up to sim_end — the traced benchmark loop — folds exactly
+/// what run_until(sim_end) folds, so it gives the same result and counts.
+TEST(SimInstance, StepLoopMatchesRunUntil) {
+  for (const ProtocolKind kind :
+       {ProtocolKind::Ssaf, ProtocolKind::Routeless}) {
+    SCOPED_TRACE(to_string(kind));
+    const ScenarioConfig config = small_scenario(kind);
+    SimInstance whole(config);
+    whole.run_until(config.sim_end);
+    SimInstance stepped(config);
+    stepped.run_until(0.0);
+    des::Scheduler& sched = stepped.scheduler();
+    while (sched.next_event_time() <= config.sim_end) sched.step();
+    stepped.run_until(config.sim_end);
+
+    const ScenarioResult a = whole.result();
+    const ScenarioResult b = stepped.result();
+    EXPECT_EQ(b.sent, a.sent);
+    EXPECT_EQ(b.delivered, a.delivered);
+    EXPECT_EQ(b.mac_packets, a.mac_packets);
+    EXPECT_EQ(std::memcmp(&b.mean_delay_s, &a.mean_delay_s, sizeof(double)),
+              0);
+    EXPECT_EQ(semantic_metrics_hash(b.metrics),
+              semantic_metrics_hash(a.metrics));
+    EXPECT_EQ(b.events_executed, a.events_executed);
+    EXPECT_GT(b.metrics.value(obs::metric::kDesInlineAdvances), 0u);
+    EXPECT_EQ(b.metrics.value(obs::metric::kDesInlineAdvances),
+              a.metrics.value(obs::metric::kDesInlineAdvances));
+  }
+}
+
 TEST(Replication, ParallelIsBitIdenticalToSerial) {
   const ScenarioConfig base = small_scenario(ProtocolKind::Ssaf);
   const Aggregated serial = run_replications(base, 4, /*threads=*/1);

@@ -15,8 +15,8 @@ TEST(SignalMap, InsertFindErase) {
   SignalMap map;
   EXPECT_TRUE(map.empty());
   EXPECT_EQ(map.total_power_mw(), 0.0);
-  const std::uint32_t a = map.insert(101, 1.5, 2.0);
-  const std::uint32_t b = map.insert(202, 2.5, 3.0);
+  const std::uint32_t a = map.insert(101, 1.5);
+  const std::uint32_t b = map.insert(202, 2.5);
   EXPECT_EQ(map.active_count(), 2u);
   EXPECT_EQ(map.find(101), a);
   EXPECT_EQ(map.find(202), b);
@@ -29,15 +29,15 @@ TEST(SignalMap, InsertFindErase) {
 
 TEST(SignalMap, FreedSlotsAreReusedMostRecentFirst) {
   SignalMap map;
-  const std::uint32_t s0 = map.insert(1, 1.0, 1.0);
-  const std::uint32_t s1 = map.insert(2, 1.0, 1.0);
-  map.insert(3, 1.0, 1.0);
+  const std::uint32_t s0 = map.insert(1, 1.0);
+  const std::uint32_t s1 = map.insert(2, 1.0);
+  map.insert(3, 1.0);
   map.erase_slot(s0);
   map.erase_slot(s1);
   // LIFO free list: the most recently freed slot comes back first, and the
   // dense range does not grow while parked slots exist.
-  EXPECT_EQ(map.insert(4, 1.0, 1.0), s1);
-  EXPECT_EQ(map.insert(5, 1.0, 1.0), s0);
+  EXPECT_EQ(map.insert(4, 1.0), s1);
+  EXPECT_EQ(map.insert(5, 1.0), s0);
   EXPECT_EQ(map.slot_count(), 3u);
 }
 
@@ -46,7 +46,7 @@ TEST(SignalMap, SlotRangeGrowsOnExhaustionAndResetsWhenEmpty) {
   std::vector<std::uint32_t> slots;
   // Push far past the reserved capacity: every slot distinct, range dense.
   for (std::uint64_t id = 0; id < 64; ++id) {
-    slots.push_back(map.insert(id, 0.5, 1.0));
+    slots.push_back(map.insert(id, 0.5));
     EXPECT_EQ(slots.back(), static_cast<std::uint32_t>(id));
   }
   EXPECT_EQ(map.slot_count(), 64u);
@@ -60,9 +60,9 @@ TEST(SignalMap, SlotRangeGrowsOnExhaustionAndResetsWhenEmpty) {
 
 TEST(SignalMap, PowerSumExcludingSkipsParkedAndExcludedSlots) {
   SignalMap map;
-  map.insert(1, 1.0, 1.0);
-  const std::uint32_t s2 = map.insert(2, 2.0, 1.0);
-  map.insert(3, 4.0, 1.0);
+  map.insert(1, 1.0);
+  const std::uint32_t s2 = map.insert(2, 2.0);
+  map.insert(3, 4.0);
   EXPECT_DOUBLE_EQ(map.power_sum_excluding(2), 5.0);
   EXPECT_DOUBLE_EQ(map.power_sum_excluding(99), 7.0);  // absent id: full sum
   map.erase_slot(s2);  // parked slot must contribute exactly 0.0
@@ -83,13 +83,13 @@ TEST(SignalMap, TotalPowerIsExactlyZeroAfterChurn) {
   for (int round = 0; round < 2000; ++round) {
     std::vector<std::uint32_t> live;
     for (int i = 0; i < 8; ++i) {
-      live.push_back(map.insert(next_id++, power(gen), 1.0));
+      live.push_back(map.insert(next_id++, power(gen)));
     }
     // Interleave removals with more arrivals so the incremental total
     // crosses many magnitudes.
     for (int i = 0; i < 4; ++i) {
       map.erase_slot(live[i]);
-      live.push_back(map.insert(next_id++, power(gen), 1.0));
+      live.push_back(map.insert(next_id++, power(gen)));
     }
     for (std::size_t i = 4; i < live.size(); ++i) {
       map.erase_slot(map.find(next_id - (live.size() - i)));
