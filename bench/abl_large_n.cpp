@@ -23,6 +23,14 @@
 // across shard counts (gated by tests/sharded_test.cpp), so delivery/delay
 // columns are only printed once per row pair and any drift is a bug.
 //
+// The events column (and events_per_s) counts executed events plus the
+// broadcast-walker steps taken in place (des.inline_advances), the work
+// unit of run_bench_suite. Executed events alone fell by about 70% when
+// walkers started stepping in place, with the simulated work unchanged, so
+// they no longer compare across that change; the sum equals the executed
+// count of the queue-only engine, which recorded the checked-in
+// bench_results/abl_large_n.csv.
+//
 // Flags: --quick (n = 1000 only), --nodes N (single custom size), --seed,
 // --reps, --shards K (single custom shard count), --proto LABEL (single
 // row family: ssaf / rr / ssaf_rayleigh), --rss-budget-mib M (exit
@@ -185,7 +193,11 @@ int main(int argc, char** argv) {
                      std::chrono::steady_clock::now() - t0)
                      .count();
         }
-        const double events = static_cast<double>(result.events_executed);
+        // Work unit of run_bench_suite: executed events plus the walker
+        // steps taken in place, which are events of the queue-only engine.
+        const double events = static_cast<double>(
+            result.events_executed +
+            result.metrics.value(obs::metric::kDesInlineAdvances));
         const double rss_mib = monitor.peak_rss_mib();
         table.add_row({static_cast<double>(nodes), std::string(row.label),
                        static_cast<double>(shards),

@@ -71,13 +71,16 @@ int main(int argc, char** argv) {
     result = sim::run_scenario(config);
   }
 
+  // Executed events plus walker steps taken in place: the work unit of
+  // run_bench_suite, comparable across the in-place advance.
+  const std::uint64_t events =
+      result.events_executed +
+      result.metrics.value(obs::metric::kDesInlineAdvances);
   std::printf("%s: %llu events in %.2fs (%.2fM ev/s), peak RSS %.0f MiB%s\n",
               monitor_config.label.c_str(),
-              static_cast<unsigned long long>(result.events_executed),
-              monitor.wall_s(),
+              static_cast<unsigned long long>(events), monitor.wall_s(),
               monitor.wall_s() > 0.0
-                  ? static_cast<double>(result.events_executed) /
-                        monitor.wall_s() * 1e-6
+                  ? static_cast<double>(events) / monitor.wall_s() * 1e-6
                   : 0.0,
               monitor.peak_rss_mib(),
               monitor.budget_exceeded() ? "  [ABORTED: partial result]" : "");

@@ -64,11 +64,13 @@ python3 scripts/check_bench.py "$FRESH_BENCH"
 
 if [[ "$LARGE_N_SMOKE" == 1 ]]; then
   echo "== large-n smoke (n=100k SSAF serial, RSS budget) =="
-  # Budget: the n=100k SSAF row peaks around 1.1 GiB (node stacks + CSR
-  # index + scheduler); 2048 MiB leaves headroom for allocator noise while
-  # still catching an accidental O(n*K) replication or growth-realloc storm.
+  # Budget: the n=100k SSAF row peaks around 195 MiB (the stacks of the
+  # nodes its floods reach, built at first contact, + CSR index +
+  # scheduler); 512 MiB leaves headroom for allocator noise while still
+  # catching every node stack built up front (about 1.1 GiB), or an
+  # accidental O(n*K) replication or growth-realloc storm.
   ./build/bench/abl_large_n --nodes 100000 --shards 1 --proto ssaf \
-    --rss-budget-mib 2048
+    --rss-budget-mib 512
 fi
 
 echo "== sanitize build (address;undefined;trace) + ctest =="

@@ -19,61 +19,46 @@ Network::Network(des::Scheduler& scheduler, const geom::Terrain& terrain,
   channel_ = std::make_unique<phy::Channel>(
       scheduler, terrain, std::move(model), radio_params, std::move(positions),
       root_rng.fork("channel"), std::move(shard), std::move(shared_index));
-  // Nodes (each building its MAC on the radio handed to it) follow the
-  // channel's storage order. The radios are gathered, and the nodes
-  // scattered into the id-indexed table, in passes of their own, which
-  // keeps the construction loop a streaming walk. Rng forks are keyed by
-  // node id, so every shard hands its nodes the streams the serial run does.
-  std::vector<phy::Transceiver*> radios;
-  radios.reserve(n);
-  for (const std::uint32_t id : channel_->storage_order()) {
-    if (channel_->owns(id)) radios.push_back(&channel_->transceiver(id));
-  }
-  std::vector<std::unique_ptr<Node>> built;
-  built.reserve(radios.size());
-  for (phy::Transceiver* radio : radios) {
-    built.push_back(std::make_unique<Node>(
-        *this, *radio, mac_params, root_rng.fork("node", radio->node_id())));
-  }
   nodes_.resize(n);
-  for (auto& node : built) {
-    const std::uint32_t id = node->id();
-    nodes_[id] = std::move(node);
-  }
+  channel_->on_first_contact([this](std::uint32_t id) { build_node(id); });
 }
 
-Network::~Network() {
-  util::delete_in_reverse_order(nodes_, channel_->storage_order());
+Node& Network::build_node(std::uint32_t id) {
+  phy::Transceiver& radio = channel_->build_transceiver(id);
+  Node& node = nodes_.insert(
+      id, std::make_unique<Node>(*this, radio, mac_params_,
+                                 root_rng_.fork("node", id)));
+  ++nodes_built_;
+  if (attach_) attach_(node);
+  return node;
 }
 
 Node& Network::node(std::uint32_t id) {
-  RRNET_EXPECTS(id < nodes_.size() && nodes_[id] != nullptr);
-  return *nodes_[id];
+  RRNET_EXPECTS(has_node(id));
+  Node* node = nodes_.get(id);
+  return node != nullptr ? *node : build_node(id);
 }
 
 const Node& Network::node(std::uint32_t id) const {
-  RRNET_EXPECTS(id < nodes_.size() && nodes_[id] != nullptr);
-  return *nodes_[id];
+  RRNET_EXPECTS(id < nodes_.size() && node_built(id));
+  return *nodes_.get(id);
 }
 
 Node& Network::adopt_node(std::uint32_t id) {
-  RRNET_EXPECTS(id < nodes_.size() && nodes_[id] == nullptr);
-  RRNET_EXPECTS(channel_->owns(id));
-  channel_->adopt_transceiver(id);  // the MAC attaches to it in the ctor
-  nodes_[id] = std::make_unique<Node>(*this, channel_->transceiver(id),
-                                      mac_params_, root_rng_.fork("node", id));
-  return *nodes_[id];
+  RRNET_EXPECTS(has_node(id) && !node_built(id));
+  return build_node(id);
 }
 
 void Network::evict_node(std::uint32_t id) {
-  RRNET_EXPECTS(id < nodes_.size() && nodes_[id] != nullptr);
+  RRNET_EXPECTS(id < nodes_.size() && node_built(id));
   RRNET_EXPECTS(!channel_->owns(id));
-  nodes_[id].reset();
+  nodes_.erase(id);
   channel_->evict_transceiver(id);
 }
 
 void Network::start_protocols() {
-  for (auto& node : nodes_) {
+  for (std::uint32_t id = 0; id < nodes_.size(); ++id) {
+    Node* node = nodes_.get(id);
     if (node != nullptr && node->has_protocol()) node->protocol().start();
   }
 }
@@ -107,16 +92,15 @@ void Network::snapshot_metrics(obs::MetricRegistry& reg,
   reg.add(m::kPhyTransmissions, ch.transmissions);
   reg.add(m::kPhyDeliveries, ch.deliveries);
 
-  // Sum the per-node structs in storage order; the registry sees each
-  // total once. Per-node names appear only if this instance holds a node.
+  // Sum the per-node structs in build order; the registry sees each total
+  // once. Per-node names appear whenever this instance owns a node, built
+  // or not: a node never built has all-zero counters.
   phy::TransceiverStats phy;
   mac::MacStats mac;
   NodeStats net;
   ProtocolStats proto;
   std::size_t queue_high_water = 0;
-  bool any_node = false;
   for_each_node([&](const Node& node) {
-    any_node = true;
     phy += node.mac().radio().stats();
     mac += node.mac().stats();
     queue_high_water =
@@ -124,7 +108,11 @@ void Network::snapshot_metrics(obs::MetricRegistry& reg,
     net += node.stats();
     if (node.has_protocol()) node.protocol().accumulate_stats(proto);
   });
-  if (any_node) {
+  bool owns_node = false;
+  for (std::uint32_t id = 0; id < nodes_.size() && !owns_node; ++id) {
+    owns_node = channel_->owns(id);
+  }
+  if (owns_node) {
     reg.add(m::kPhyTxFrames, phy.frames_sent);
     reg.add(m::kPhySignalsArrived, phy.signals_arrived);
     reg.add(m::kPhyRxDecoded, phy.frames_decoded);

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "des/inline_callback.hpp"
 #include "des/rng.hpp"
 #include "des/scheduler.hpp"
 #include "geom/spatial_grid.hpp"
@@ -20,15 +21,18 @@ namespace rrnet::net {
 
 class Network {
  public:
-  /// Builds the channel and one node (transceiver + MAC) per position.
-  /// Protocols are attached afterwards via node(i).set_protocol(...).
-  /// When `shard` marks this network as one shard of a sharded run, nodes
-  /// (and their transceivers) exist only for owned ids; node(id) on a
-  /// remote id is a contract violation. Rng forks are keyed by node id, so
-  /// every shard hands its nodes the exact streams the serial run would.
-  /// A non-null `shared_index` replaces the per-channel grid build with a
-  /// read-only view of one immutable index (static-position sharded runs);
-  /// `positions` may then be empty.
+  /// Builds the channel. A node (transceiver + MAC, then whatever the
+  /// on_build hook attaches) is built at its first contact: node(id), or
+  /// the channel reaching it (a signal starting at its radio,
+  /// Channel::transceiver, Channel::transmit). Constructors schedule
+  /// nothing and rng forks are keyed by node id, so a node built mid-run
+  /// gets the state and streams a run that built it up front would give
+  /// it, and every shard hands its nodes the streams the serial run does.
+  /// When `shard` marks this network as one shard of a sharded run, only
+  /// owned ids are ever built; node(id) on a remote id is a contract
+  /// violation. A non-null `shared_index` replaces the per-channel grid
+  /// build with a read-only view of one immutable index (static-position
+  /// sharded runs); `positions` may then be empty.
   Network(des::Scheduler& scheduler, const geom::Terrain& terrain,
           std::unique_ptr<phy::PropagationModel> model,
           phy::RadioParams radio_params, mac::MacParams mac_params,
@@ -38,58 +42,59 @@ class Network {
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
-  /// Destroys the nodes in reverse storage order (see for_each_node).
-  ~Network();
 
   [[nodiscard]] std::size_t size() const noexcept { return nodes_.size(); }
+  /// Owned node `id`, built first if this is its first contact.
   [[nodiscard]] Node& node(std::uint32_t id);
+  /// Node `id`, which must already be built.
   [[nodiscard]] const Node& node(std::uint32_t id) const;
-  /// True iff this network instance owns node `id` (always true serially).
+  /// True iff this network instance owns node `id` (always true serially),
+  /// built or not.
   [[nodiscard]] bool has_node(std::uint32_t id) const noexcept {
-    return id < nodes_.size() && nodes_[id] != nullptr;
+    return id < nodes_.size() && channel_->owns(id);
+  }
+  /// True once node `id` is built (and until it is evicted).
+  [[nodiscard]] bool node_built(std::uint32_t id) const noexcept {
+    return nodes_.get(id) != nullptr;
+  }
+  /// Node stacks this instance has built, migrations in included.
+  [[nodiscard]] std::uint64_t nodes_built() const noexcept {
+    return nodes_built_;
   }
   [[nodiscard]] phy::Channel& channel() noexcept { return *channel_; }
   [[nodiscard]] const phy::Channel& channel() const noexcept { return *channel_; }
   [[nodiscard]] des::Scheduler& scheduler() noexcept { return *scheduler_; }
 
-  /// Call `fn(node)` for every node this instance holds, in storage order:
-  /// the channel's grid cell order, the order the nodes were built in, so
-  /// consecutive calls touch neighbouring memory. For per-node work whose
-  /// order has no effect on results; anything that schedules events or
-  /// sums floating point walks ids in ascending order instead.
+  /// Completes every node this network builds from then on (the scenario
+  /// builder attaches the protocol and the flow sink). Without one a node
+  /// is built bare, and its protocol is set via node(id).set_protocol().
+  using NodeAttach = des::InlineFunction<void(Node&), 16>;
+  void on_build(NodeAttach attach) { attach_ = std::move(attach); }
+
+  /// Call `fn(node)` for every built node, in build order, so consecutive
+  /// calls touch neighbouring memory. For per-node work whose order has no
+  /// effect on results; anything that schedules events or sums floating
+  /// point walks ids in ascending order instead.
   template <typename Fn>
   void for_each_node(Fn&& fn) {
-    for (const std::uint32_t id : channel_->storage_order()) {
-      if (nodes_[id] != nullptr) fn(*nodes_[id]);
-    }
+    for (Node* node : nodes_.in_build_order()) fn(*node);
   }
   template <typename Fn>
   void for_each_node(Fn&& fn) const {
-    for (const std::uint32_t id : channel_->storage_order()) {
-      if (nodes_[id] != nullptr) fn(std::as_const(*nodes_[id]));
-    }
-  }
-  /// The held nodes in storage order, gathered in a pass of their own. For
-  /// a pass that builds an object per node (protocol and sink attach):
-  /// looking each node up between constructions, as for_each_node does,
-  /// measured slower at n = 10^6 than this extra pass (DESIGN.md, "Storage
-  /// order").
-  [[nodiscard]] std::vector<Node*> nodes_in_storage_order() {
-    return util::gather_in_order(nodes_, channel_->storage_order());
+    for (const Node* node : nodes_.in_build_order()) fn(*node);
   }
 
-  /// Call every protocol's start() hook (after all protocols are attached),
-  /// in node id order.
+  /// Call the start() hook of every built node's protocol, in node id
+  /// order. A node built later is not started: a protocol whose start()
+  /// does anything (DSDV's periodic timer) needs every node built first.
   void start_protocols();
 
   // --- Node migration (sharded dynamic ownership) ---
 
-  /// Build the node (radio + MAC) for an id this shard just adopted. The
-  /// channel's owner map must already name this shard. The node gets the
-  /// same id-keyed rng fork as the serial run — identical child streams —
-  /// and its engine state is then restored from the migration record.
-  /// The protocol and delivery handler are attached by the caller (they
-  /// need scenario context the network does not have).
+  /// Build the node for an id this shard just adopted, on the one path
+  /// every node is built on. The channel's owner map must already name
+  /// this shard. The node's engine state is then restored from the
+  /// migration record.
   Node& adopt_node(std::uint32_t id);
   /// Destroy an evicted node and its radio (must run on the owning thread:
   /// both are pool-allocated).
@@ -117,12 +122,19 @@ class Network {
                         obs::Histogram& backoff_slots) const;
 
  private:
+  /// Build the stack of owned, unbuilt node `id`: radio, node and MAC,
+  /// then the on_build hook. The one construction path of a node.
+  Node& build_node(std::uint32_t id);
+
   des::Scheduler* scheduler_;
   std::unique_ptr<phy::Channel> channel_;
-  std::vector<std::unique_ptr<Node>> nodes_;
+  /// Destroyed before channel_, whose radios the MACs reference.
+  util::BuildOrderTable<Node> nodes_;
+  std::uint64_t nodes_built_ = 0;
+  NodeAttach attach_;
   std::vector<PacketObserver*> observers_;
-  /// Retained for adopt_node: forks are keyed off the seed (not stream
-  /// position), so late id-keyed forks reproduce construction-time ones.
+  /// Forks are keyed off the seed (not stream position), so an id-keyed
+  /// fork taken mid-run reproduces one taken at construction.
   des::Rng root_rng_;
   mac::MacParams mac_params_;
 };

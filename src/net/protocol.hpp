@@ -58,7 +58,10 @@ class Protocol : public util::PoolAllocated {
   Protocol(const Protocol&) = delete;
   Protocol& operator=(const Protocol&) = delete;
 
-  /// Called once after the whole network is wired, before traffic starts.
+  /// Called once before traffic starts, on the nodes built by then. Only a
+  /// proactive protocol overrides it, and its nodes are all built at start;
+  /// every other protocol does its setup in its constructor, which must
+  /// schedule nothing (nodes are built at first contact, mid-run).
   virtual void start() {}
 
   /// A network packet arrived from the MAC. `for_us` is true when the MAC

@@ -213,9 +213,12 @@ inline constexpr std::string_view kPoolObjectHeapAllocs =
 inline constexpr std::string_view kPoolObjectInUseHighWater =
     "pool.object_in_use_high_water";
 
-// Sharded engine internals (absent from serial runs; excluded from the
-// bit-identity contract like des.* / pool.*).
+// Engine internals, excluded from the bit-identity contract like des.* /
+// pool.* (node_migrations is absent from serial runs).
 inline constexpr std::string_view kSimNodeMigrations = "sim.node_migrations";
+/// Node stacks built (at first contact, or on migrating in), summed over
+/// shards; nodes no signal or caller ever reached are never built.
+inline constexpr std::string_view kSimNodesBuilt = "sim.nodes_built";
 
 // Runtime profiler (ScenarioConfig::profile_runtime). Wall-clock derived —
 // engine-internal like sim.*, excluded from bit-identity sweeps. Round

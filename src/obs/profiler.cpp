@@ -124,6 +124,7 @@ void RunHealthMonitor::begin_run() {
   peak_rss_mib_ = 0.0;
   wall_s_ = 0.0;
   events_ = 0;
+  nodes_built_ = 0;
   samples_.clear();
   worker_phases_.clear();
   rounds_ = exchange_rounds_ = forced_quiet_exchanges_ = 0;
@@ -244,6 +245,8 @@ bool RunHealthMonitor::write_report_json(const std::string& path) const {
   append_double(out, wall_s_ > 0.0
                          ? static_cast<double>(events_) / wall_s_
                          : 0.0);
+  out += ",\n  \"nodes_built\": ";
+  append_u64(out, nodes_built_);
   out += ",\n  \"peak_rss_mib\": ";
   append_double(out, peak_rss_mib_);
   out += ",\n  \"aborted\": ";

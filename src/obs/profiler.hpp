@@ -177,6 +177,11 @@ class RunHealthMonitor {
   /// Copy the per-worker phase breakdown + aggregate round counters out of
   /// a finished run's profiler for the report.
   void note_profile(const RuntimeProfiler& profiler);
+  /// Node stacks the run built (sim.nodes_built), for the report.
+  void note_nodes_built(std::uint64_t nodes) noexcept { nodes_built_ = nodes; }
+  [[nodiscard]] std::uint64_t nodes_built() const noexcept {
+    return nodes_built_;
+  }
 
   [[nodiscard]] bool budget_exceeded() const noexcept { return aborted_; }
   [[nodiscard]] const std::string& abort_reason() const noexcept {
@@ -196,7 +201,7 @@ class RunHealthMonitor {
   [[nodiscard]] double min_phase_coverage() const noexcept;
 
   /// Write the structured run report ("rrnet-run-report-v1"): wall/events/
-  /// throughput, peak RSS, budgets + abort state, per-worker phase
+  /// throughput, node stacks built, peak RSS, budgets + abort state, per-worker phase
   /// breakdown (when note_profile ran), and the throughput curve. Returns
   /// false when the file cannot be written.
   bool write_report_json(const std::string& path) const;
@@ -220,6 +225,7 @@ class RunHealthMonitor {
   double peak_rss_mib_ = 0.0;
   double wall_s_ = 0.0;
   std::uint64_t events_ = 0;
+  std::uint64_t nodes_built_ = 0;
   std::vector<Sample> samples_;
   std::vector<WorkerPhases> worker_phases_;
   // Aggregate round counters from note_profile (report only).

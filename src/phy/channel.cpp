@@ -41,26 +41,10 @@ Channel::Channel(des::Scheduler& scheduler, const geom::Terrain& terrain,
   RRNET_EXPECTS(n > 0);
   RRNET_EXPECTS(shard_.owner.empty() || shard_.owner.size() == n);
   frame_counters_.assign(n, 0);
-  // Build the owned radios in grid cell order, then scatter them into the
-  // id-indexed table in a separate pass: interleaving random table writes
-  // with the streaming construction costs more than the extra pass. Remote
-  // nodes keep a null slot (their radio lives on the owning shard), but
-  // their positions stay indexed for bit-identical receiver walks.
-  storage_order_ = grid_->cell_order();
-  std::vector<std::unique_ptr<Transceiver>> built;
-  built.reserve(n);
-  for (const std::uint32_t id : storage_order_) {
-    if (!owns(id)) continue;
-    built.push_back(std::make_unique<Transceiver>(id, params_));
-    // Channel-owned transceivers can always timestamp their own events
-    // (turn_off drop records); enable_energy() re-sets the same clock.
-    built.back()->clock_ = scheduler_;
-  }
+  // Radios are built at first contact; remote nodes never get one here
+  // (their radio lives on the owning shard), but their positions stay
+  // indexed for bit-identical receiver walks.
   transceivers_.resize(n);
-  for (auto& radio : built) {
-    const std::uint32_t id = radio->node_id();
-    transceivers_[id] = std::move(radio);
-  }
   if (shard_.sharded()) {
     outboxes_.resize(shard_.shards);
     handoff_mark_.assign(shard_.shards, 0);
@@ -89,7 +73,6 @@ double Channel::interference_range(const PropagationModel& model,
 }
 
 Channel::~Channel() {
-  util::delete_in_reverse_order(transceivers_, storage_order_);
   // Retire transmission records to the thread's spare pool so the next run
   // built on this thread starts with warmed receiver-list capacity. Clear
   // payload handles here, on the owning thread — refcounts are non-atomic.
@@ -116,25 +99,37 @@ std::vector<std::uint32_t>& Channel::query_scratch() {
   return scratch;
 }
 
-void Channel::adopt_transceiver(std::uint32_t id) {
-  RRNET_EXPECTS(shard_.sharded() && owns(id) && transceivers_[id] == nullptr);
-  transceivers_[id] = std::make_unique<Transceiver>(id, params_);
-  transceivers_[id]->clock_ = scheduler_;
+Transceiver& Channel::build_transceiver(std::uint32_t id) {
+  RRNET_EXPECTS(id < transceivers_.size() && owns(id) && !radio_built(id));
+  Transceiver& radio =
+      transceivers_.insert(id, std::make_unique<Transceiver>(id, params_));
+  // Channel-owned transceivers can always timestamp their own events
+  // (turn_off drop records); enable_energy() re-sets the same clock.
+  radio.clock_ = scheduler_;
+  return radio;
 }
 
 void Channel::evict_transceiver(std::uint32_t id) {
-  RRNET_EXPECTS(shard_.sharded() && !owns(id) && transceivers_[id] != nullptr);
-  transceivers_[id].reset();
+  RRNET_EXPECTS(shard_.sharded() && !owns(id) && radio_built(id));
+  transceivers_.erase(id);
 }
 
-Transceiver& Channel::transceiver(std::uint32_t id) {
-  RRNET_EXPECTS(id < transceivers_.size() && transceivers_[id] != nullptr);
-  return *transceivers_[id];
+Transceiver& Channel::first_contact(std::uint32_t id) {
+  // Constructors schedule nothing and every rng is forked by node id, so
+  // building here, mid-run, gives the stack a run that built it up front
+  // would have.
+  if (first_contact_) {
+    RRNET_EXPECTS(owns(id));
+    first_contact_(id);
+    RRNET_ASSERT(radio_built(id));
+    return *transceivers_.get(id);
+  }
+  return build_transceiver(id);
 }
 
 const Transceiver& Channel::transceiver(std::uint32_t id) const {
-  RRNET_EXPECTS(id < transceivers_.size() && transceivers_[id] != nullptr);
-  return *transceivers_[id];
+  RRNET_EXPECTS(id < transceivers_.size() && radio_built(id));
+  return *transceivers_.get(id);
 }
 
 geom::Vec2 Channel::position(std::uint32_t id) const {
@@ -173,7 +168,7 @@ des::Time Channel::heap_front(std::vector<des::Time>& heap, des::Time now) {
 bool Channel::transmit(const Airframe& frame) {
   RRNET_EXPECTS(frame.sender < transceivers_.size());
   RRNET_EXPECTS(owns(frame.sender));
-  Transceiver& sender = *transceivers_[frame.sender];
+  Transceiver& sender = transceiver(frame.sender);
   if (sender.is_off()) {
     ++sender.stats_.tx_dropped_off;
     return false;
@@ -193,7 +188,7 @@ bool Channel::transmit(const Airframe& frame) {
                     0);
   scheduler_->schedule_in(duration, [this, id = frame.id, s = frame.sender]() {
     RRNET_TRACE_EVENT(obs::EventKind::PhyTxEnd, scheduler_->now(), s, id, 0);
-    transceivers_[s]->end_transmit(id, scheduler_->now());
+    transceivers_.get(s)->end_transmit(id, scheduler_->now());
   });
   if (shard_.sharded()) {
     phy_event_heap_.push_back(now + duration);
@@ -341,14 +336,15 @@ void Channel::advance_transmission(std::uint32_t slot) {
     }
     if (do_start) {
       PendingRx& rx = tx.receivers[tx.next_start++];
-      Transceiver& trx = *transceivers_[rx.rx_id];
+      Transceiver* radio = transceivers_.get(rx.rx_id);
+      Transceiver& trx = radio != nullptr ? *radio : first_contact(rx.rx_id);
       rx.could_decode = !trx.is_off() && rx.power_mw >= rx_threshold_mw_;
       // Remember the receiver's slot: the matching end below erases in
       // O(1) instead of re-finding the frame id.
       rx.slot = trx.signal_arrives(tx.frame, rx.power_mw, now);
     } else {
       const PendingRx& rx = tx.receivers[tx.next_end++];
-      Transceiver& trx = *transceivers_[rx.rx_id];
+      Transceiver& trx = *transceivers_.get(rx.rx_id);
       const std::uint64_t decoded_before = trx.stats().frames_decoded;
       trx.signal_ends(tx.frame, rx.slot, now);
       if (rx.could_decode && trx.stats().frames_decoded > decoded_before) {

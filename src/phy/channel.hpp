@@ -22,14 +22,18 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
+#include "des/inline_callback.hpp"
 #include "des/rng.hpp"
 #include "des/scheduler.hpp"
 #include "geom/spatial_grid.hpp"
 #include "phy/propagation.hpp"
 #include "phy/radio.hpp"
 #include "phy/transceiver.hpp"
+#include "util/contracts.hpp"
+#include "util/pool.hpp"
 
 namespace rrnet::phy {
 
@@ -77,10 +81,11 @@ struct ShardHandoff {
 
 class Channel {
  public:
-  /// `positions[i]` is the location of node i; one transceiver is created
-  /// per node (per OWNED node when `shard` says this channel is one shard
-  /// of a sharded run). The scheduler, model, and params must outlive the
-  /// channel.
+  /// `positions[i]` is the location of node i. A node's transceiver is
+  /// built at first contact: the first time a signal starts at it or
+  /// anything asks for it (transceiver(), transmit()); in shard mode only
+  /// OWNED nodes are ever built. The scheduler, model, and params must
+  /// outlive the channel.
   ///
   /// When `shared_index` is non-null the channel queries that immutable
   /// grid instead of building its own (the sharded engine passes one index
@@ -99,16 +104,31 @@ class Channel {
   [[nodiscard]] std::size_t node_count() const noexcept {
     return transceivers_.size();
   }
-  [[nodiscard]] Transceiver& transceiver(std::uint32_t id);
-  [[nodiscard]] const Transceiver& transceiver(std::uint32_t id) const;
-  /// Every node id (owned or not) in storage order: the spatial grid's
-  /// cell order at construction. Radios are built, and destroyed in
-  /// reverse, in this order, so spatial neighbours sit in adjacent pool
-  /// memory; ids themselves are unchanged.
-  [[nodiscard]] const std::vector<std::uint32_t>& storage_order()
-      const noexcept {
-    return storage_order_;
+  /// The radio of owned node `id`, built first if this is its first
+  /// contact.
+  [[nodiscard]] Transceiver& transceiver(std::uint32_t id) {
+    RRNET_EXPECTS(id < transceivers_.size());
+    Transceiver* radio = transceivers_.get(id);
+    return radio != nullptr ? *radio : first_contact(id);
   }
+  /// The radio of `id`, which must already be built.
+  [[nodiscard]] const Transceiver& transceiver(std::uint32_t id) const;
+  /// True once the radio of `id` is built (and until it is evicted).
+  [[nodiscard]] bool radio_built(std::uint32_t id) const noexcept {
+    return transceivers_.get(id) != nullptr;
+  }
+
+  /// Builds the stack of a node at its first contact; it must build the
+  /// node's radio through build_transceiver(id). The network installs one
+  /// so a radio never exists without its MAC and protocol; a channel
+  /// without one builds bare radios.
+  using FirstContact = des::InlineFunction<void(std::uint32_t), 16>;
+  void on_first_contact(FirstContact build) {
+    first_contact_ = std::move(build);
+  }
+  /// Build the radio of owned, unbuilt node `id` (the first-contact hook's
+  /// and node migration's one way to make a radio).
+  Transceiver& build_transceiver(std::uint32_t id);
   [[nodiscard]] geom::Vec2 position(std::uint32_t id) const;
   [[nodiscard]] const RadioParams& params() const noexcept { return params_; }
   [[nodiscard]] const PropagationModel& model() const noexcept { return *model_; }
@@ -255,10 +275,6 @@ class Channel {
     shard_.owner[id] = dst;
   }
 
-  /// Create the radio for a node this shard just adopted (owner map must
-  /// already say the node is local). State is restored separately via
-  /// Transceiver::import_snapshot.
-  void adopt_transceiver(std::uint32_t id);
   /// Destroy the radio of a node this shard just evicted (frees to this
   /// thread's pool — eviction always runs on the owning worker).
   void evict_transceiver(std::uint32_t id);
@@ -321,6 +337,9 @@ class Channel {
     std::size_t next_end = 0;
   };
 
+  /// Build the stack of `id` (through the hook, or a bare radio).
+  Transceiver& first_contact(std::uint32_t id);
+
   /// Process every start/end due now for the transmission in `slot`, then
   /// re-schedule for the next due time (or retire the slot when done).
   void advance_transmission(std::uint32_t slot);
@@ -364,8 +383,8 @@ class Channel {
   std::unique_ptr<geom::SpatialGrid> owned_grid_;
   std::shared_ptr<const geom::SpatialGrid> shared_grid_;
   const geom::SpatialGrid* grid_ = nullptr;
-  std::vector<std::unique_ptr<Transceiver>> transceivers_;  ///< by id
-  std::vector<std::uint32_t> storage_order_;
+  util::BuildOrderTable<Transceiver> transceivers_;
+  FirstContact first_contact_;
   des::Rng rng_;
   /// Base key of the counter-based per-link streams (des::LinkRng). Taken
   /// from rng_'s seed, which is fork-derived and therefore identical on

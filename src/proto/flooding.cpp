@@ -15,10 +15,7 @@ FloodingProtocol::FloodingProtocol(net::Node& node, FloodingConfig config,
       elections_(node.scheduler()),
       rng_(node.rng().fork("flooding")) {
   RRNET_EXPECTS(policy_ != nullptr);
-}
-
-void FloodingProtocol::start() {
-  const phy::Channel& channel = node().network().channel();
+  const phy::Channel& channel = node.network().channel();
   // RSSI normalization span for the signal-strength policy: the weakest
   // decodable signal arrives from the edge of the nominal range, the
   // strongest realistic one from a neighbor a tenth of the range away.
@@ -120,7 +117,6 @@ void FloodingProtocol::on_packet(const net::PacketRef& packet,
     }
   }
 }
-
 
 void FloodingProtocol::accumulate_stats(net::ProtocolStats& into) const {
   into.add(elections_.stats());

@@ -64,7 +64,6 @@ class FloodingProtocol : public net::Protocol {
   FloodingProtocol(net::Node& node, FloodingConfig config,
                    std::shared_ptr<const core::BackoffPolicy> policy);
 
-  void start() override;
   void on_packet(const net::PacketRef& packet, const phy::RxInfo& info,
                  bool for_us, std::uint32_t mac_src) override;
   std::uint64_t send_data(std::uint32_t target,

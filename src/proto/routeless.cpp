@@ -26,10 +26,8 @@ RoutelessProtocol::RoutelessProtocol(net::Node& node, RoutelessConfig config)
       ssaf_policy_(config.discovery_lambda),
       elections_(node.scheduler()),
       arbiter_(node.scheduler(), config.arbiter),
-      rng_(node.rng().fork("routeless")) {}
-
-void RoutelessProtocol::start() {
-  const phy::Channel& channel = node().network().channel();
+      rng_(node.rng().fork("routeless")) {
+  const phy::Channel& channel = node.network().channel();
   rssi_min_dbm_ = channel.params().rx_threshold_dbm;
   rssi_max_dbm_ = channel.model().mean_rx_power_dbm(
       channel.params().tx_power_dbm, 0.1 * channel.nominal_range_m());
@@ -457,7 +455,6 @@ void RoutelessProtocol::on_packet(const net::PacketRef& packet,
       return;  // AODV control traffic in mixed deployments: ignore
   }
 }
-
 
 void RoutelessProtocol::accumulate_stats(net::ProtocolStats& into) const {
   into.add(elections_.stats());

@@ -73,7 +73,6 @@ class RoutelessProtocol final : public net::Protocol {
  public:
   RoutelessProtocol(net::Node& node, RoutelessConfig config = {});
 
-  void start() override;
   void on_packet(const net::PacketRef& packet, const phy::RxInfo& info,
                  bool for_us, std::uint32_t mac_src) override;
   std::uint64_t send_data(std::uint32_t target,

@@ -108,11 +108,11 @@ void attach_protocol(
   RRNET_ASSERT(false);
 }
 
-/// Pre-carve the calling thread's size-class pools for `nodes` node stacks
+/// Reserve the calling thread's size-class pools for `nodes` node stacks
 /// (node + transceiver and its signal map + MAC + the configured protocol),
-/// so large-n construction is a handful of arena carves instead of O(n)
-/// pool-exhaustion heap fallbacks. Only the shortfall beyond what the
-/// thread's pools already hold is carved: small runs are untouched.
+/// so building them is never a pool-exhaustion heap fallback. Only the
+/// shortfall beyond what the thread's pools already hold is carved, and a
+/// carve reserves address space without touching it.
 void reserve_node_pools(const ScenarioConfig& config, std::size_t nodes) {
   if (nodes == 0) return;
   // One entry per size class: distinct types can share a class, so counts
@@ -228,9 +228,9 @@ std::unique_ptr<World> build_world(const WorldPlan& plan,
   // A bare step() loop up to sim_end folds what run_until(sim_end) folds.
   world->scheduler.set_stop_time(config.sim_end);
 
-  // Pre-carve this thread's object pools for the nodes this world owns: at
-  // n = 10^6 the arenas would otherwise grow through thousands of
-  // reallocation steps during the node loop below.
+  // Reserve this thread's object pools for every node this world owns, so
+  // a stack built at first contact, at any point of the run, comes from an
+  // arena. A reservation touches no page: only built stacks cost memory.
   const std::size_t owned =
       shard.owner.empty()
           ? config.nodes
@@ -245,8 +245,13 @@ std::unique_ptr<World> build_world(const WorldPlan& plan,
       plan.shared_index);
   net::Network& network = *world->network;
   world->flood_policy = make_flood_policy(config);
-  for (net::Node* node : network.nodes_in_storage_order()) {
-    world->attach(*node);
+  network.on_build([w = world.get()](net::Node& node) { w->attach(node); });
+  // Nodes are built at first contact. A proactive protocol beacons from
+  // t = 0, so its nodes are all built here, in id order.
+  if (config.protocol == ProtocolKind::Dsdv) {
+    for (std::uint32_t id = 0; id < network.size(); ++id) {
+      if (network.has_node(id)) (void)network.node(id);
+    }
   }
 
   app::CbrConfig cbr;
@@ -266,9 +271,12 @@ std::unique_ptr<World> build_world(const WorldPlan& plan,
       world->sources.push_back(std::make_unique<app::CbrSource>(
           network.node(src), dst, pair_cbr, world->flows));
     }
-    if (config.bidirectional && network.has_node(dst)) {
-      world->sources.push_back(std::make_unique<app::CbrSource>(
-          network.node(dst), src, pair_cbr, world->flows));
+    if (network.has_node(dst)) {
+      net::Node& sink = network.node(dst);  // an endpoint is always built
+      if (config.bidirectional) {
+        world->sources.push_back(std::make_unique<app::CbrSource>(
+            sink, src, pair_cbr, world->flows));
+      }
     }
   }
 
@@ -304,6 +312,7 @@ std::unique_ptr<World> build_world(const WorldPlan& plan,
         root.fork("mobility"));
   }
 
+  // A meter runs from t = 0, so metering builds every owned node.
   if (config.track_energy) {
     for (std::uint32_t id = 0; id < network.size(); ++id) {
       if (!network.has_node(id)) continue;
@@ -323,6 +332,7 @@ WorldOutcome harvest_world(World& world) {
   out.metrics.set_max(m::kDesHeapHighWater, world.scheduler.heap_high_water());
   out.metrics.add(m::kDesInlineAdvances,
                   world.scheduler.inline_advance_count());
+  out.metrics.add(m::kSimNodesBuilt, network.nodes_built());
   out.flow_log = world.flows.take_event_log();
   out.mac_tx = network.total_mac_tx();
   out.channel_tx = network.channel().stats().transmissions;
@@ -464,6 +474,7 @@ void SimInstance::run_until(des::Time t) {
 void SimInstance::run() {
   run_until(config_.sim_end);
   if (config_.health_monitor != nullptr) {
+    config_.health_monitor->note_nodes_built(world_->network->nodes_built());
     config_.health_monitor->finish_run(world_->scheduler.executed_count());
   }
 }

@@ -67,8 +67,8 @@ struct World {
   std::unique_ptr<phy::FailureModel> failures;
   std::unique_ptr<RandomWaypoint> mobility;
 
-  /// Attach the configured protocol and the flow sink to a node, at build
-  /// time and when a node migrates in.
+  /// Attach the configured protocol and the flow sink to a node: the
+  /// network's on_build hook, for every node it builds.
   void attach(net::Node& node);
   /// Start protocols, environment drivers and traffic, in that order.
   void start();

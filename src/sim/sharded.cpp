@@ -384,7 +384,6 @@ ScenarioResult run_scenario_sharded(const ScenarioConfig& config,
             if (rec.dst >= lo && rec.dst < hi) {
               World& world = *worlds[rec.dst];
               net::Node& node = world.network->adopt_node(rec.node);
-              world.attach(node);
               node.protocol().start();
               world.network->channel().restore_frame_counter(
                   rec.node, rec.frame_counter);
@@ -480,6 +479,7 @@ ScenarioResult run_scenario_sharded(const ScenarioConfig& config,
   if (profiler != nullptr) profiler->snapshot_into(r.metrics);
   if (monitor != nullptr) {
     if (profiler != nullptr) monitor->note_profile(*profiler);
+    monitor->note_nodes_built(r.metrics.value(obs::metric::kSimNodesBuilt));
     monitor->finish_run(r.events_executed);
   }
 

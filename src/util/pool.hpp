@@ -24,12 +24,17 @@
 //    the first allocation, when the size is known. Requests of any other
 //    size (e.g. a different T rebound through the same allocator) take
 //    the heap path.
+//  * Lazy carve: a carve reserves address space only. Chunks are handed
+//    out from a bump range in ascending address order, and the free list
+//    holds released chunks alone, so reserving arenas for a million node
+//    stacks touches none of their pages until the stacks are built.
 //
 // make_pooled keeps the `std::shared_ptr<const T>` handle type for callers
 // that want shared immutable state without intrusive refcounts; the packet
 // path itself uses the intrusive net::PacketBuffer on a raw PayloadPool.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -69,15 +74,17 @@ class PayloadPool {
   PayloadPool& operator=(const PayloadPool&) = delete;
 
   ~PayloadPool() {
-    for (std::byte* arena : arenas_) ::operator delete(arena);
+    for (const Range& arena : arenas_) ::operator delete(arena.base);
   }
 
   /// Grow the pool so at least `chunks` chunks of `payload_bytes` exist in
   /// total, carving one additional arena for the shortfall. Fixes the chunk
   /// size if no allocation has happened yet; a size mismatch with an
   /// already-sized pool is ignored (those requests heap-fall-back anyway).
-  /// Large-n scenario builders call this up front so constructing n nodes
-  /// is one arena carve instead of thousands of heap fallbacks.
+  /// Large-n scenario builders call this up front so a node stack built at
+  /// any point of a run comes from an arena, never from the heap. A carve
+  /// only reserves address space: no page is touched until its chunk is
+  /// handed out.
   void ensure_capacity(std::size_t chunks, std::size_t payload_bytes) {
     if (chunks == 0 || payload_bytes == 0) return;
     if (chunk_bytes_ == 0) {
@@ -89,16 +96,25 @@ class PayloadPool {
   }
 
   /// Allocate `bytes` of payload. Pool-served when `bytes` matches the
-  /// pool's chunk size and a free chunk exists; heap otherwise.
+  /// pool's chunk size and a released or never-used chunk exists; heap
+  /// otherwise. Released chunks go first (LIFO), then the carved ranges in
+  /// ascending address order.
   void* allocate(std::size_t bytes) {
     if (chunk_bytes_ == 0 && bytes > 0) carve_arena(bytes, capacity_);
-    if (bytes == chunk_bytes_ && !free_.empty()) {
-      Header* h = free_.back();
-      free_.pop_back();
-      ++stats_.pool_allocs;
-      ++in_use_;
-      if (in_use_ > in_use_high_water_) in_use_high_water_ = in_use_;
-      return h + 1;
+    if (bytes == chunk_bytes_) {
+      Header* h = nullptr;
+      if (!free_.empty()) {
+        h = free_.back();
+        free_.pop_back();
+      } else {
+        h = take_fresh();
+      }
+      if (h != nullptr) {
+        ++stats_.pool_allocs;
+        ++in_use_;
+        if (in_use_ > in_use_high_water_) in_use_high_water_ = in_use_;
+        return h + 1;
+      }
     }
     ++stats_.heap_allocs;
     return allocate_unpooled(bytes);
@@ -124,11 +140,13 @@ class PayloadPool {
   }
 
   [[nodiscard]] const PoolStats& stats() const noexcept { return stats_; }
-  /// Total pooled chunks: carved so far, or the first-carve size if the
-  /// chunk size is not yet known.
+  /// Total pooled chunks: carved (reserved) so far, or the first-carve size
+  /// if the chunk size is not yet known.
   [[nodiscard]] std::size_t capacity() const noexcept {
     return carved_ > 0 ? carved_ : capacity_;
   }
+  /// Released chunks waiting for reuse (never-used carved chunks are not
+  /// on the free list).
   [[nodiscard]] std::size_t free_count() const noexcept {
     return free_.size();
   }
@@ -148,29 +166,48 @@ class PayloadPool {
     PayloadPool* owner;
   };
 
+  /// One carved arena; [next, end) is the part never handed out.
+  struct Range {
+    std::byte* base;
+    std::byte* next;
+    std::byte* end;
+  };
+
   void carve_arena(std::size_t payload_bytes, std::size_t count) {
     // Round the stride so every chunk's payload is max_align_t-aligned.
     constexpr std::size_t kAlign = alignof(std::max_align_t);
-    const std::size_t stride =
-        sizeof(Header) + ((payload_bytes + kAlign - 1) / kAlign) * kAlign;
+    stride_ = sizeof(Header) + ((payload_bytes + kAlign - 1) / kAlign) * kAlign;
     chunk_bytes_ = payload_bytes;
-    auto* arena = static_cast<std::byte*>(::operator new(stride * count));
-    arenas_.push_back(arena);
+    // Reserve only: the headers are written as chunks are handed out, so
+    // the pages of chunks never used are never touched.
+    auto* arena = static_cast<std::byte*>(::operator new(stride_ * count));
+    arenas_.push_back({arena, arena, arena + stride_ * count});
     carved_ += count;
+    // Room for every chunk to come back: release() never reallocates.
     free_.reserve(carved_);
-    // Push in reverse so chunks are handed out in ascending address order.
-    for (std::size_t i = count; i-- > 0;) {
-      Header* h = reinterpret_cast<Header*>(arena + i * stride);
+  }
+
+  /// The next never-used chunk, in carve order and ascending address order
+  /// within an arena, or null once every carved chunk has been handed out.
+  Header* take_fresh() noexcept {
+    for (; fresh_ < arenas_.size(); ++fresh_) {
+      Range& arena = arenas_[fresh_];
+      if (arena.next == arena.end) continue;
+      Header* h = reinterpret_cast<Header*>(arena.next);
+      arena.next += stride_;
       h->owner = this;
-      free_.push_back(h);
+      return h;
     }
+    return nullptr;
   }
 
   std::size_t capacity_;
   std::size_t chunk_bytes_ = 0;  ///< fixed by the first allocation
+  std::size_t stride_ = 0;       ///< header + payload, rounded
   std::size_t carved_ = 0;       ///< total chunks across all arenas
-  std::vector<std::byte*> arenas_;
-  std::vector<Header*> free_;
+  std::vector<Range> arenas_;
+  std::size_t fresh_ = 0;        ///< first arena with never-used chunks
+  std::vector<Header*> free_;    ///< released chunks only
   PoolStats stats_;
   std::size_t in_use_ = 0;
   std::size_t in_use_high_water_ = 0;
@@ -255,29 +292,49 @@ struct PoolAllocated {
   static void operator delete(void* p) noexcept { PayloadPool::release(p); }
 };
 
-/// The objects of an id-indexed table (null slots skipped) in `order`,
-/// gathered in a pass of their own: a loop over the result that builds or
-/// deletes objects then streams over memory with no table lookups between.
-template <typename T>
-std::vector<T*> gather_in_order(const std::vector<std::unique_ptr<T>>& table,
-                                const std::vector<std::uint32_t>& order) {
-  std::vector<T*> ordered;
-  ordered.reserve(table.size());
-  for (const std::uint32_t id : order) {
-    if (table[id] != nullptr) ordered.push_back(table[id].get());
-  }
-  return ordered;
-}
-
-/// Delete the objects of an id-indexed table in the reverse of `order`, the
-/// order they were built in. The pools' LIFO free lists then hand the next
+/// An id-indexed table of objects it owns, built one at a time in any id
+/// order. It remembers the build order: walks follow it (objects built one
+/// after another sit next to each other in pool memory), and the objects
+/// are deleted in its reverse, so the pools' LIFO free lists hand the next
 /// build on this thread ascending addresses, as a fresh carve does.
 template <typename T>
-void delete_in_reverse_order(std::vector<std::unique_ptr<T>>& table,
-                             const std::vector<std::uint32_t>& order) {
-  const std::vector<T*> ordered = gather_in_order(table, order);
-  for (auto& slot : table) (void)slot.release();
-  for (auto it = ordered.rbegin(); it != ordered.rend(); ++it) delete *it;
-}
+class BuildOrderTable {
+ public:
+  BuildOrderTable() = default;
+  ~BuildOrderTable() {
+    for (auto it = order_.rbegin(); it != order_.rend(); ++it) delete *it;
+  }
+  BuildOrderTable(const BuildOrderTable&) = delete;
+  BuildOrderTable& operator=(const BuildOrderTable&) = delete;
+
+  /// Set the id range of an empty table.
+  void resize(std::size_t n) { by_id_.assign(n, nullptr); }
+  [[nodiscard]] std::size_t size() const noexcept { return by_id_.size(); }
+  /// The object of `id`, or null while it is not built.
+  [[nodiscard]] T* get(std::uint32_t id) const noexcept { return by_id_[id]; }
+  /// Every held object, in build order.
+  [[nodiscard]] const std::vector<T*>& in_build_order() const noexcept {
+    return order_;
+  }
+
+  /// Take ownership of the newly built object of an unbuilt `id`.
+  T& insert(std::uint32_t id, std::unique_ptr<T> object) {
+    T* raw = object.release();
+    by_id_[id] = raw;
+    order_.push_back(raw);
+    return *raw;
+  }
+  /// Delete the object of `id` (O(objects held); migration only).
+  void erase(std::uint32_t id) {
+    T* raw = by_id_[id];
+    by_id_[id] = nullptr;
+    order_.erase(std::find(order_.begin(), order_.end(), raw));
+    delete raw;
+  }
+
+ private:
+  std::vector<T*> by_id_;
+  std::vector<T*> order_;
+};
 
 }  // namespace rrnet::util

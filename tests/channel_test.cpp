@@ -392,30 +392,48 @@ TEST_F(ChannelHandoffTest, ClearOutboxesDropsPendingHandoffs) {
   scheduler_[0].run();
 }
 
-TEST(ChannelStorageOrder, RadiosFollowGridCellOrderInMemory) {
-  // Nodes placed in reverse spatial order: id order and cell order differ.
-  std::vector<geom::Vec2> positions;
-  for (int i = 0; i < 64; ++i) {
-    positions.push_back({4900.0 - 75.0 * i, 100.0 + 13.0 * (i % 7)});
+TEST(ChannelFirstContact, BroadcastReceiversGetAscendingContiguousChunks) {
+  // Receivers at distances that fall with id: arrival order is the reverse
+  // of id order.
+  constexpr std::uint32_t kNodes = 16;
+  std::vector<geom::Vec2> positions{{100.0, 500.0}};
+  for (std::uint32_t i = 1; i < kNodes; ++i) {
+    positions.push_back({100.0 + 10.0 * (kNodes - i), 500.0});
   }
   RadioParams params;
   params.tx_power_dbm = tx_power_for_range(FreeSpace{}, 250.0,
                                            params.rx_threshold_dbm);
-  // A fresh thread has fresh pools: radios are built in storage order
-  // from a new carve, so their addresses ascend along that order.
+  // A fresh thread has fresh pools: radios built one after another take
+  // consecutive chunks of a new carve.
   std::thread([&] {
     des::Scheduler scheduler;
-    const geom::Terrain terrain(5000.0, 1000.0);
-    const Channel channel(scheduler, terrain, std::make_unique<FreeSpace>(),
-                          params, positions, des::Rng(1));
-    const geom::SpatialGrid grid(terrain, channel.interference_range_m(),
-                                 positions);
-    const std::vector<std::uint32_t>& order = channel.storage_order();
-    EXPECT_EQ(order, grid.cell_order());
-    EXPECT_NE(order.front(), 0u);
-    for (std::size_t i = 1; i < order.size(); ++i) {
-      EXPECT_LT(&channel.transceiver(order[i - 1]),
-                &channel.transceiver(order[i]));
+    const geom::Terrain terrain(1000.0, 1000.0);
+    Channel channel(scheduler, terrain, std::make_unique<FreeSpace>(), params,
+                    positions, des::Rng(1));
+    for (std::uint32_t id = 0; id < kNodes; ++id) {
+      EXPECT_FALSE(channel.radio_built(id)) << id;
+    }
+    Airframe frame;
+    frame.sender = 0;
+    frame.id = channel.next_frame_id(0);
+    frame.size_bytes = 100;
+    ASSERT_TRUE(channel.transmit(frame));  // the sender's first contact
+    EXPECT_TRUE(channel.radio_built(0));
+    EXPECT_FALSE(channel.radio_built(1));
+    scheduler.run();
+    // Built in first-contact order: the sender, then the receivers from
+    // the nearest (id 15) to the farthest (id 1).
+    std::vector<std::uintptr_t> addresses{
+        reinterpret_cast<std::uintptr_t>(&channel.transceiver(0))};
+    for (std::uint32_t id = kNodes - 1; id >= 1; --id) {
+      EXPECT_EQ(channel.transceiver(id).stats().signals_arrived, 1u) << id;
+      addresses.push_back(
+          reinterpret_cast<std::uintptr_t>(&channel.transceiver(id)));
+    }
+    ASSERT_GT(addresses[1], addresses[0]);
+    const std::uintptr_t stride = addresses[1] - addresses[0];
+    for (std::size_t i = 1; i < addresses.size(); ++i) {
+      EXPECT_EQ(addresses[i] - addresses[i - 1], stride) << i;
     }
   }).join();
 }

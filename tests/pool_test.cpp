@@ -59,6 +59,77 @@ TEST(PayloadPool, MismatchedSizeTakesHeapPath) {
   PayloadPool::release(other);
 }
 
+TEST(PayloadPool, LazyCarveHandsOutAscendingChunks) {
+  PayloadPool pool(/*capacity=*/4);
+  pool.ensure_capacity(64, 48);
+  EXPECT_EQ(pool.capacity(), 64u);
+  std::vector<std::uintptr_t> chunks;
+  for (int i = 0; i < 64; ++i) {
+    chunks.push_back(reinterpret_cast<std::uintptr_t>(pool.allocate(48)));
+  }
+  EXPECT_EQ(pool.stats().pool_allocs, 64u);
+  EXPECT_EQ(pool.stats().heap_allocs, 0u);
+  // One arena, handed out front to back at a fixed stride.
+  const std::uintptr_t stride = chunks[1] - chunks[0];
+  EXPECT_GE(stride, 48u);
+  for (std::size_t i = 1; i < chunks.size(); ++i) {
+    EXPECT_EQ(chunks[i] - chunks[i - 1], stride) << i;
+  }
+  // Growing carves a second arena; its chunks follow the first's.
+  pool.ensure_capacity(72, 48);
+  for (int i = 0; i < 8; ++i) chunks.push_back(
+      reinterpret_cast<std::uintptr_t>(pool.allocate(48)));
+  EXPECT_EQ(pool.stats().heap_allocs, 0u);
+  for (std::size_t i = 65; i < chunks.size(); ++i) {
+    EXPECT_EQ(chunks[i] - chunks[i - 1], stride) << i;
+  }
+  for (const std::uintptr_t p : chunks) {
+    PayloadPool::release(reinterpret_cast<void*>(p));
+  }
+}
+
+TEST(PayloadPool, ReservedChunksAreNotInUseAndReleasedOnesGoFirst) {
+  PayloadPool pool(/*capacity=*/4);
+  pool.ensure_capacity(1000, 32);
+  EXPECT_EQ(pool.in_use(), 0u);
+  EXPECT_EQ(pool.in_use_high_water(), 0u);
+  EXPECT_EQ(pool.free_count(), 0u);  // the free list holds released chunks
+  void* a = pool.allocate(32);
+  void* b = pool.allocate(32);
+  void* c = pool.allocate(32);
+  EXPECT_EQ(pool.in_use(), 3u);
+  PayloadPool::release(b);
+  EXPECT_EQ(pool.in_use(), 2u);
+  EXPECT_EQ(pool.free_count(), 1u);
+  // A released chunk is reused before the never-used rest of the arena.
+  EXPECT_EQ(pool.allocate(32), b);
+  EXPECT_GT(reinterpret_cast<std::uintptr_t>(pool.allocate(32)),
+            reinterpret_cast<std::uintptr_t>(c));
+  EXPECT_EQ(pool.in_use(), 4u);
+  EXPECT_EQ(pool.in_use_high_water(), 4u);
+  EXPECT_EQ(pool.stats().heap_allocs, 0u);
+  PayloadPool::release(a);
+}
+
+TEST(PayloadPool, MixedSizesStillFallBackToHeapAfterLazyCarve) {
+  PayloadPool pool(/*capacity=*/4);
+  pool.ensure_capacity(16, 32);
+  void* pooled = pool.allocate(32);
+  void* other = pool.allocate(96);  // not the chunk size -> heap fallback
+  void* next = pool.allocate(32);
+  EXPECT_EQ(pool.stats().pool_allocs, 2u);
+  EXPECT_EQ(pool.stats().heap_allocs, 1u);
+  EXPECT_EQ(pool.in_use(), 2u);  // heap chunks are not arena occupancy
+  EXPECT_GT(reinterpret_cast<std::uintptr_t>(next),
+            reinterpret_cast<std::uintptr_t>(pooled));
+  PayloadPool::release(other);  // frees to the heap, not the free list
+  EXPECT_EQ(pool.free_count(), 0u);
+  PayloadPool::release(pooled);
+  PayloadPool::release(next);
+  EXPECT_EQ(pool.free_count(), 2u);
+  EXPECT_EQ(pool.stats().releases, 2u);
+}
+
 TEST(MakePooled, RoundTripsThroughThreadLocalPool) {
   const auto& stats = pooled_stats<Payload>();
   const std::uint64_t pool_before = stats.pool_allocs;

@@ -1,5 +1,8 @@
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 
 #include <gtest/gtest.h>
 
@@ -12,6 +15,7 @@
 #include "sim/builder.hpp"
 #include "sim/replication.hpp"
 #include "sim/runner.hpp"
+#include "sim/sharded.hpp"
 #include "sim/sweep.hpp"
 #include "test_helpers.hpp"
 
@@ -164,12 +168,14 @@ constexpr ProtocolKind kAllProtocols[] = {
     ProtocolKind::Aodv,             ProtocolKind::Gradient,
     ProtocolKind::Dsdv,             ProtocolKind::Dsr};
 
-/// Registry entries outside the engine-internal des.* / pool.* families.
+/// Registry entries outside the engine-internal des.* / pool.* / sim.*
+/// families.
 std::vector<obs::Metric> layer_metrics(const obs::MetricRegistry& reg) {
   std::vector<obs::Metric> out;
   for (obs::Metric& metric : reg.snapshot()) {
     if (metric.name.rfind("des.", 0) == 0 ||
-        metric.name.rfind("pool.", 0) == 0) {
+        metric.name.rfind("pool.", 0) == 0 ||
+        metric.name.rfind("sim.", 0) == 0) {
       continue;
     }
     out.push_back(std::move(metric));
@@ -316,7 +322,7 @@ void expect_same_outcome(const RunOutcome& got, const RunOutcome& want) {
 
 TEST(Harvest, BackToBackRunsOnOneThreadMatchFreshThreads) {
   // Teardown returns every node's memory to this thread's pools in reverse
-  // storage order; the next scenario built on the thread must reproduce
+  // build order; the next scenario built on the thread must reproduce
   // what it reports on a thread of its own, pool deltas included.
   ScenarioConfig first = small_scenario(ProtocolKind::Ssaf);
   first.nodes = 120;
@@ -343,25 +349,26 @@ TEST(Harvest, BackToBackRunsOnOneThreadMatchFreshThreads) {
 }
 
 TEST(Harvest, RebuiltScenarioGetsAscendingNodeMemory) {
-  // Nodes are built in storage order and destroyed in reverse, so a
-  // scenario rebuilt on the same thread takes its node stacks from the
-  // freed chunks in ascending address order, as from a fresh carve.
+  // Nodes are destroyed in the reverse of the order they were built in,
+  // so a scenario rebuilt on the same thread takes its node stacks from
+  // the freed chunks in ascending address order, as from a fresh carve.
   const ScenarioConfig config = small_scenario(ProtocolKind::Ssaf);
   std::thread([&] {
     for (int build = 0; build < 3; ++build) {
       SimInstance sim(config);
+      sim.run();
       std::vector<const void*> nodes;
       std::vector<const void*> radios;
       sim.network().for_each_node([&](net::Node& node) {
         nodes.push_back(&node);
         radios.push_back(&node.mac().radio());
       });
-      ASSERT_EQ(nodes.size(), config.nodes);
+      ASSERT_EQ(nodes.size(), sim.network().nodes_built());
+      ASSERT_GT(nodes.size(), 2u);
       for (std::size_t i = 1; i < nodes.size(); ++i) {
         EXPECT_LT(nodes[i - 1], nodes[i]) << "build " << build;
         EXPECT_LT(radios[i - 1], radios[i]) << "build " << build;
       }
-      sim.run();
     }
   }).join();
 }
@@ -526,6 +533,171 @@ TEST(SimInstance, StepLoopMatchesRunUntil) {
     EXPECT_EQ(b.metrics.value(obs::metric::kDesInlineAdvances),
               a.metrics.value(obs::metric::kDesInlineAdvances));
   }
+}
+
+/// Everything a run reports that must not depend on when its nodes were
+/// built: the semantic metrics, the counts, the delay and energy bits and
+/// the executed and in-place event counts.
+void expect_same_semantics(const ScenarioResult& got,
+                           const ScenarioResult& want) {
+  EXPECT_EQ(got.sent, want.sent);
+  EXPECT_EQ(got.delivered, want.delivered);
+  EXPECT_EQ(got.mac_packets, want.mac_packets);
+  EXPECT_EQ(got.channel_transmissions, want.channel_transmissions);
+  EXPECT_EQ(std::memcmp(&got.mean_delay_s, &want.mean_delay_s, sizeof(double)),
+            0);
+  EXPECT_EQ(
+      std::memcmp(&got.total_energy_j, &want.total_energy_j, sizeof(double)),
+      0);
+  expect_same_metrics(layer_metrics(got.metrics), layer_metrics(want.metrics));
+  EXPECT_EQ(got.events_executed, want.events_executed);
+  EXPECT_EQ(got.metrics.value(obs::metric::kDesInlineAdvances),
+            want.metrics.value(obs::metric::kDesInlineAdvances));
+}
+
+/// Many nodes, few reached: one SSAF pair whose floods die at a short TTL
+/// on a terrain far larger than the flood.
+ScenarioConfig sparse_ssaf_scenario() {
+  ScenarioConfig config = small_scenario(ProtocolKind::Ssaf);
+  config.nodes = 1500;
+  config.width_m = 5000.0;
+  config.height_m = 5000.0;
+  config.pairs = 1;
+  config.require_connected_pairs = true;
+  config.min_pair_hops = 2;
+  config.flood_ttl = 4;
+  config.traffic_stop = 4.0;
+  config.sim_end = 6.0;
+  return config;
+}
+
+TEST(FirstContact, BuildingEveryNodeUpFrontChangesNothing) {
+  // The traced benchmark loop asks for every node before run(); nodes are
+  // then built in id order before t = 0 instead of at first contact.
+  std::vector<ScenarioConfig> configs;
+  for (const ProtocolKind kind : kAllProtocols) {
+    configs.push_back(busy_scenario(kind));
+  }
+  ScenarioConfig failing = small_scenario(ProtocolKind::Routeless);
+  failing.failure_fraction = 0.3;
+  failing.track_energy = true;
+  configs.push_back(failing);
+  configs.push_back(sparse_ssaf_scenario());
+  for (const ScenarioConfig& config : configs) {
+    SCOPED_TRACE(std::string(to_string(config.protocol)) + " n=" +
+                 std::to_string(config.nodes));
+    SimInstance lazy(config);
+    lazy.run();
+    SimInstance eager(config);
+    for (std::uint32_t id = 0; id < eager.network().size(); ++id) {
+      (void)eager.network().node(id);
+    }
+    EXPECT_EQ(eager.network().nodes_built(), config.nodes);
+    eager.run();
+    expect_same_semantics(eager.result(), lazy.result());
+  }
+}
+
+TEST(FirstContact, SparseFloodBuildsEndpointsAndNodesThatHeardASignal) {
+  const ScenarioConfig config = sparse_ssaf_scenario();
+  SimInstance lazy(config);
+  lazy.run();
+  SimInstance eager(config);
+  for (std::uint32_t id = 0; id < eager.network().size(); ++id) {
+    (void)eager.network().node(id);
+  }
+  eager.run();
+  std::vector<bool> endpoint(config.nodes, false);
+  for (const auto& [src, dst] : lazy.pairs()) {
+    endpoint[src] = true;
+    endpoint[dst] = true;
+  }
+  std::uint64_t expected = 0;
+  for (std::uint32_t id = 0; id < config.nodes; ++id) {
+    const bool heard =
+        eager.network().channel().transceiver(id).stats().signals_arrived > 0;
+    const bool wanted = endpoint[id] || heard;
+    EXPECT_EQ(lazy.network().node_built(id), wanted) << id;
+    expected += wanted ? 1 : 0;
+  }
+  EXPECT_EQ(lazy.network().nodes_built(), expected);
+  EXPECT_GT(expected, 2u);                // the floods reached someone
+  EXPECT_LT(expected, config.nodes / 2);  // ... but not most nodes
+  const ScenarioResult result = lazy.result();
+  EXPECT_GT(result.sent, 0u);
+  EXPECT_EQ(result.metrics.value(obs::metric::kSimNodesBuilt), expected);
+}
+
+TEST(FirstContact, UnbuiltNodesMigrateInShardedMobilityRun) {
+  ScenarioConfig config = sparse_ssaf_scenario();
+  config.nodes = 300;
+  config.width_m = 3000.0;
+  config.height_m = 3000.0;
+  config.mobility = true;
+  config.mobility_min_speed_mps = 20.0;
+  config.mobility_max_speed_mps = 40.0;
+  config.mobility_pause_s = 0.5;
+  SimInstance serial(config);
+  serial.run();
+  const ScenarioResult want = serial.result();
+  const std::uint64_t serial_built = serial.network().nodes_built();
+  ASSERT_LT(serial_built, config.nodes);
+
+  ScenarioConfig sharded_config = config;
+  sharded_config.shards = 2;
+  const ScenarioResult got = run_scenario_sharded(sharded_config);
+  EXPECT_EQ(got.sent, want.sent);
+  EXPECT_EQ(got.delivered, want.delivered);
+  EXPECT_EQ(got.mac_packets, want.mac_packets);
+  EXPECT_EQ(std::memcmp(&got.mean_delay_s, &want.mean_delay_s, sizeof(double)),
+            0);
+  EXPECT_EQ(semantic_metrics_hash(got.metrics),
+            semantic_metrics_hash(want.metrics));
+  // Every migration builds the node on its new shard. A shard builds the
+  // rest at first contact, as the serial run does, or because the node
+  // left its strip: more of those than the serial run builds means some
+  // node was first touched by its own migration, unbuilt until then.
+  const std::uint64_t migrations =
+      got.metrics.value(obs::metric::kSimNodeMigrations);
+  EXPECT_GT(migrations, 0u);
+  EXPECT_GT(got.metrics.value(obs::metric::kSimNodesBuilt) - migrations,
+            serial_built);
+}
+
+TEST(FirstContact, ProactiveProtocolBuildsAndStartsEveryNodeAtTimeZero) {
+  const ScenarioConfig config = small_scenario(ProtocolKind::Dsdv);
+  SimInstance sim(config);
+  EXPECT_EQ(sim.network().nodes_built(), config.nodes);
+  // Every node's first periodic dump falls before one update interval.
+  sim.run_until(config.dsdv.update_interval);
+  for (std::uint32_t id = 0; id < config.nodes; ++id) {
+    EXPECT_GT(sim.network().node(id).stats().control_tx, 0u) << id;
+  }
+}
+
+TEST(FirstContact, NodesBuiltReachMetricsAndReport) {
+  ScenarioConfig config = sparse_ssaf_scenario();
+  obs::RunHealthMonitor monitor;
+  config.health_monitor = &monitor;
+  SimInstance sim(config);
+  sim.run();
+  const std::uint64_t built = sim.network().nodes_built();
+  EXPECT_EQ(sim.result().metrics.value(obs::metric::kSimNodesBuilt), built);
+  EXPECT_EQ(monitor.nodes_built(), built);
+  const std::string path = ::testing::TempDir() + "rrnet_nodes_built.json";
+  ASSERT_TRUE(monitor.write_report_json(path));
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  EXPECT_NE(buffer.str().find("\"nodes_built\": " + std::to_string(built)),
+            std::string::npos);
+  std::remove(path.c_str());
+
+  // Summed over shards.
+  config.shards = 2;
+  const ScenarioResult sharded = run_scenario_sharded(config);
+  EXPECT_EQ(sharded.metrics.value(obs::metric::kSimNodesBuilt), built);
+  EXPECT_EQ(monitor.nodes_built(), built);
 }
 
 TEST(Replication, ParallelIsBitIdenticalToSerial) {

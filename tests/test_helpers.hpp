@@ -70,7 +70,7 @@ inline void reference_snapshot_metrics(const net::Network& network,
   reg.add(m::kPhyDeliveries, ch.deliveries);
   obs::Histogram backoff_slots;
   for (std::uint32_t id = 0; id < network.size(); ++id) {
-    if (!network.has_node(id)) continue;
+    if (!network.node_built(id)) continue;  // all counters zero
     const net::Node& node = network.node(id);
     const phy::TransceiverStats& phy = network.channel().transceiver(id).stats();
     reg.add(m::kPhyTxFrames, phy.frames_sent);
