@@ -6,9 +6,11 @@
 // cached next hops break and must be re-discovered.
 //
 // Each (speed, protocol) cell runs serial (shards = 1) and sharded
-// (shards = 4): mobility now runs on the parallel engine (replicated
-// waypoint schedules + deterministic node migration at window barriers),
-// and the shards/threads columns track its speedup at fixed semantics.
+// (shards = 4): mobility runs on the parallel engine (waypoint schedules
+// replicated on every shard; each node keeps the owner of its initial
+// strip, since every shard replays every receiver walk over the full
+// position grid), and the shards/threads columns track its speedup at
+// fixed semantics.
 // Results are bit-identical across shard counts (gated by
 // tests/sharded_test.cpp), so any drift between a K = 1 row and its K = 4
 // twin is a bug, and the shape check below enforces that on the delivery

@@ -516,19 +516,18 @@ int main(int argc, char** argv) {
   // bookkeeping and are only comparable at a fixed shard count.
   results.push_back(bench_scenario("fig1_ssaf_sharded4",
                                    sim::ProtocolKind::Ssaf, 80, 1, 4));
-  // Dynamic-ownership paths lifted from the serial-only guard: random
-  // waypoint mobility (replicated position updates + node migration at
-  // window barriers) and Rayleigh fading (counter-based per-link rng).
-  // Both are bit-identical to their serial twins by the sharded_test.cpp
-  // gates; these entries track the wall-clock and counter baselines of the
-  // migration/LinkRng machinery itself.
+  // Paths lifted from the serial-only guard: random waypoint mobility
+  // (replicated position updates on every shard; a node keeps its initial
+  // strip's owner) and Rayleigh fading (counter-based per-link rng). Both
+  // are bit-identical to their serial twins by the sharded_test.cpp gates;
+  // these entries track the wall-clock and counter baselines of the
+  // replicated-mobility/LinkRng machinery itself.
   results.push_back(bench_scenario(
       "fig5_mobility_sharded4", sim::ProtocolKind::Ssaf, 80, 2, 4,
       [](sim::ScenarioConfig& config) {
         config.mobility = true;
         config.mobility_min_speed_mps = 5.0;
         config.mobility_max_speed_mps = 15.0;
-        config.shard_window_batch = 4;
       }));
   results.push_back(bench_scenario(
       "fig1_ssaf_rayleigh_sharded4", sim::ProtocolKind::Ssaf, 80, 1, 4,

@@ -94,17 +94,18 @@ echo "== profiled run export (report.json + worker-lane trace) =="
 python3 -m json.tool "$EXPORT_DIR/report.json" >/dev/null
 python3 -m json.tool "$EXPORT_DIR/trace.json" >/dev/null
 
-echo "== tsan build (thread) + sharded/handoff/migration tests =="
+echo "== tsan build (thread) + sharded/handoff tests =="
 # ThreadSanitizer cannot be combined with ASan/UBSan, so the sharded
-# engine's inter-thread machinery (spin-barrier windows, outbox handoffs,
-# node-migration exchange with its parity-double-buffered window bounds,
-# per-worker tracer rings) gets its own build. sharded_test carries the
-# mobility / fading / fig4-energy determinism gates and the nested
-# replications-x-shards pool test, so TSan sweeps the migration barriers,
-# the LinkRng fading path, and the traveling energy meters on every
-# verify. Only the tests that spawn worker threads or exercise the
-# handoff/partition surface run here — the serial suite is already swept
-# by the ASan/UBSan configuration above.
+# engine's inter-thread machinery (spin-barrier windows, the two-barrier
+# handoff exchange with its parity-double-buffered window bounds, the one
+# owner map every shard reads, per-worker tracer rings) gets its own
+# build. sharded_test carries the mobility / fading / fig4-energy
+# determinism gates, the first-contact build count of a sharded mobile run
+# and the nested replications-x-shards pool test, so TSan sweeps the
+# exchange barriers, the LinkRng fading path, and the per-owner energy
+# meters on every verify. Only the tests that spawn worker threads or
+# exercise the handoff/partition surface run here — the serial suite is
+# already swept by the ASan/UBSan configuration above.
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DRRNET_TRACE=ON \
       "-DRRNET_SANITIZE=thread" >/dev/null

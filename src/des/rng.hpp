@@ -6,7 +6,6 @@
 // accidental nondeterminism in network simulators).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <string_view>
 
@@ -43,24 +42,8 @@ class Xoshiro256 {
   static constexpr result_type max() noexcept { return ~0ULL; }
   result_type operator()() noexcept;
 
-  /// Raw engine state, for node-migration snapshots.
-  [[nodiscard]] std::array<std::uint64_t, 4> state() const noexcept {
-    return {s_[0], s_[1], s_[2], s_[3]};
-  }
-  void restore(const std::array<std::uint64_t, 4>& s) noexcept {
-    for (int i = 0; i < 4; ++i) s_[i] = s[i];
-  }
-
  private:
   std::uint64_t s_[4];
-};
-
-/// Snapshot of a full Rng (seed identity + engine position). Moving a node
-/// between shards transfers these verbatim so the adopted node continues
-/// the exact draw sequence the evicted one would have produced.
-struct RngState {
-  std::uint64_t seed = 0;
-  std::array<std::uint64_t, 4> engine{};
 };
 
 /// Convenience distribution wrapper around Xoshiro256.
@@ -88,17 +71,6 @@ class Rng {
 
   [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
   [[nodiscard]] std::uint64_t next_u64() noexcept { return engine_(); }
-
-  /// Snapshot/restore the full stream position (migration support). The
-  /// seed travels with the engine state so fork() keys stay identical on
-  /// the restoring side.
-  [[nodiscard]] RngState state() const noexcept {
-    return {seed_, engine_.state()};
-  }
-  void restore(const RngState& s) noexcept {
-    seed_ = s.seed;
-    engine_.restore(s.engine);
-  }
 
  private:
   Xoshiro256 engine_;

@@ -243,9 +243,7 @@ void CsmaMac::transmit_data_now() {
   // fresh contention round.
   state_ = TxState::Transmitting;
   channel_->note_armed_tx(scheduler_->now() + params_.sifs);
-  ++pending_deferred_;
   scheduler_->schedule_in(params_.sifs, [this]() {
-    --pending_deferred_;
     if (!current_.has_value()) return;
     const phy::Transceiver& radio = *radio_;
     if (radio.is_off()) {
@@ -275,11 +273,9 @@ void CsmaMac::transmit_data_now() {
 
 void CsmaMac::send_cts(const Frame& rts) {
   channel_->note_armed_tx(scheduler_->now() + params_.sifs);
-  ++pending_deferred_;
   scheduler_->schedule_in(params_.sifs, [this, src = rts.src,
                                          seq = rts.sequence,
                                          nav = rts.nav_duration]() {
-    --pending_deferred_;
     const phy::Transceiver& radio = *radio_;
     if (radio.is_off() || radio.state() == phy::RadioState::Tx) return;
     // A CTS is a promise of a quiet medium: refuse while any reservation —
@@ -380,10 +376,8 @@ void CsmaMac::finish_current(bool success) {
 
 void CsmaMac::send_ack(const Frame& data_frame) {
   channel_->note_armed_tx(scheduler_->now() + params_.sifs);
-  ++pending_deferred_;
   scheduler_->schedule_in(params_.sifs, [this, src = data_frame.src,
                                          seq = data_frame.sequence]() {
-    --pending_deferred_;
     const phy::Transceiver& radio = *radio_;
     if (radio.is_off() || radio.state() == phy::RadioState::Tx) return;
     Frame ack;

@@ -18,7 +18,7 @@ Network::Network(des::Scheduler& scheduler, const geom::Terrain& terrain,
   RRNET_EXPECTS(n > 0);
   channel_ = std::make_unique<phy::Channel>(
       scheduler, terrain, std::move(model), radio_params, std::move(positions),
-      root_rng.fork("channel"), std::move(shard), std::move(shared_index));
+      root_rng.fork("channel"), shard, std::move(shared_index));
   nodes_.resize(n);
   channel_->on_first_contact([this](std::uint32_t id) { build_node(id); });
 }
@@ -42,18 +42,6 @@ Node& Network::node(std::uint32_t id) {
 const Node& Network::node(std::uint32_t id) const {
   RRNET_EXPECTS(id < nodes_.size() && node_built(id));
   return *nodes_.get(id);
-}
-
-Node& Network::adopt_node(std::uint32_t id) {
-  RRNET_EXPECTS(has_node(id) && !node_built(id));
-  return build_node(id);
-}
-
-void Network::evict_node(std::uint32_t id) {
-  RRNET_EXPECTS(id < nodes_.size() && node_built(id));
-  RRNET_EXPECTS(!channel_->owns(id));
-  nodes_.erase(id);
-  channel_->evict_transceiver(id);
 }
 
 void Network::start_protocols() {

@@ -53,11 +53,11 @@ class Network {
   [[nodiscard]] bool has_node(std::uint32_t id) const noexcept {
     return id < nodes_.size() && channel_->owns(id);
   }
-  /// True once node `id` is built (and until it is evicted).
+  /// True once node `id` is built.
   [[nodiscard]] bool node_built(std::uint32_t id) const noexcept {
     return nodes_.get(id) != nullptr;
   }
-  /// Node stacks this instance has built, migrations in included.
+  /// Node stacks this instance has built.
   [[nodiscard]] std::uint64_t nodes_built() const noexcept {
     return nodes_built_;
   }
@@ -88,17 +88,6 @@ class Network {
   /// order. A node built later is not started: a protocol whose start()
   /// does anything (DSDV's periodic timer) needs every node built first.
   void start_protocols();
-
-  // --- Node migration (sharded dynamic ownership) ---
-
-  /// Build the node for an id this shard just adopted, on the one path
-  /// every node is built on. The channel's owner map must already name
-  /// this shard. The node's engine state is then restored from the
-  /// migration record.
-  Node& adopt_node(std::uint32_t id);
-  /// Destroy an evicted node and its radio (must run on the owning thread:
-  /// both are pool-allocated).
-  void evict_node(std::uint32_t id);
 
   /// Observers for tracing (not owned). Multiple observers may watch the
   /// same network — e.g. a PathTrace plus an ad-hoc counter in a test; all

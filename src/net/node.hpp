@@ -96,18 +96,6 @@ class Node final : public mac::MacListener, public util::PoolAllocated {
 
   [[nodiscard]] const NodeStats& stats() const noexcept { return stats_; }
 
-  // --- Node migration (sharded dynamic ownership) ---
-
-  [[nodiscard]] std::uint32_t last_uid() const noexcept { return last_uid_; }
-  /// Overwrite the counters and stream position with an evicted node's so
-  /// the adopted instance continues its exact uid/draw sequences.
-  void restore_migration_state(const NodeStats& stats, std::uint32_t last_uid,
-                               const des::RngState& rng) noexcept {
-    stats_ = stats;
-    last_uid_ = last_uid;
-    rng_.restore(rng);
-  }
-
   // mac::MacListener
   void mac_receive(const mac::Frame& frame, const phy::RxInfo& info,
                    bool for_us) override;

@@ -213,11 +213,10 @@ inline constexpr std::string_view kPoolObjectHeapAllocs =
 inline constexpr std::string_view kPoolObjectInUseHighWater =
     "pool.object_in_use_high_water";
 
-// Engine internals, excluded from the bit-identity contract like des.* /
-// pool.* (node_migrations is absent from serial runs).
-inline constexpr std::string_view kSimNodeMigrations = "sim.node_migrations";
-/// Node stacks built (at first contact, or on migrating in), summed over
-/// shards; nodes no signal or caller ever reached are never built.
+// Engine internals, excluded from the bit-identity contract like des.* and
+// pool.*.
+/// Node stacks built at first contact, summed over shards; nodes no signal
+/// or caller ever reached are never built.
 inline constexpr std::string_view kSimNodesBuilt = "sim.nodes_built";
 
 // Runtime profiler (ScenarioConfig::profile_runtime). Wall-clock derived —
@@ -230,8 +229,6 @@ inline constexpr std::string_view kShardExchangeRounds =
 inline constexpr std::string_view kShardForcedQuietExchanges =
     "shard.forced_quiet_exchanges";
 inline constexpr std::string_view kShardHandoffs = "shard.handoffs";
-inline constexpr std::string_view kShardProfiledMigrations =
-    "shard.profiled_migrations";
 inline constexpr std::string_view kShardBoundArmedTx = "shard.bound_armed_tx";
 inline constexpr std::string_view kShardBoundPendingPhy =
     "shard.bound_pending_phy";

@@ -60,7 +60,6 @@ void append_u64(std::string& out, std::uint64_t v) {
 void RuntimeProfiler::snapshot_into(MetricRegistry& registry) const {
   std::uint64_t phase_total[3] = {0, 0, 0};
   std::uint64_t handoffs = 0;
-  std::uint64_t migrations = 0;
   std::uint64_t bound[3] = {0, 0, 0};
   Histogram window_width;
   Histogram fanout;
@@ -70,7 +69,6 @@ void RuntimeProfiler::snapshot_into(MetricRegistry& registry) const {
     const WorkerProfile& w = workers_[t];
     for (int p = 0; p < 3; ++p) phase_total[p] += w.phase_ns[p];
     handoffs += w.handoffs_out;
-    migrations += w.migrations_out;
     for (int b = 0; b < 3; ++b) bound[b] += w.bound_source[b];
     // Round counters are replicated (every worker walks the same rounds):
     // gauges, so K workers do not inflate them K-fold.
@@ -91,7 +89,6 @@ void RuntimeProfiler::snapshot_into(MetricRegistry& registry) const {
                    pct_of(phase_total[1],
                           phase_total[0] + phase_total[1] + phase_total[2]));
   registry.add(metric::kShardHandoffs, handoffs);
-  registry.add(metric::kShardProfiledMigrations, migrations);
   registry.add(metric::kShardBoundArmedTx, bound[0]);
   registry.add(metric::kShardBoundPendingPhy, bound[1]);
   registry.add(metric::kShardBoundNextEvent, bound[2]);
@@ -128,7 +125,7 @@ void RunHealthMonitor::begin_run() {
   samples_.clear();
   worker_phases_.clear();
   rounds_ = exchange_rounds_ = forced_quiet_exchanges_ = 0;
-  handoffs_ = migrations_ = 0;
+  handoffs_ = 0;
   profile_noted_ = false;
 }
 
@@ -209,13 +206,12 @@ void RunHealthMonitor::finish_run(std::uint64_t total_events) {
 void RunHealthMonitor::note_profile(const RuntimeProfiler& profiler) {
   worker_phases_.clear();
   worker_phases_.reserve(profiler.workers());
-  handoffs_ = migrations_ = 0;
+  handoffs_ = 0;
   for (std::uint32_t t = 0; t < profiler.workers(); ++t) {
     const WorkerProfile& w = profiler.worker(t);
     worker_phases_.push_back(WorkerPhases{
         w.phase_ns[0], w.phase_ns[1], w.phase_ns[2], w.loop_ns});
     handoffs_ += w.handoffs_out;
-    migrations_ += w.migrations_out;
     rounds_ = std::max(rounds_, w.rounds);
     exchange_rounds_ = std::max(exchange_rounds_, w.exchange_rounds);
     forced_quiet_exchanges_ =
@@ -286,8 +282,6 @@ bool RunHealthMonitor::write_report_json(const std::string& path) const {
     append_u64(out, forced_quiet_exchanges_);
     out += ",\n    \"handoffs\": ";
     append_u64(out, handoffs_);
-    out += ",\n    \"migrations\": ";
-    append_u64(out, migrations_);
     out += ",\n    \"workers\": [";
     for (std::size_t t = 0; t < worker_phases_.size(); ++t) {
       const WorkerPhases& w = worker_phases_[t];

@@ -6,16 +6,16 @@
 //
 //  * RuntimeProfiler attributes wall time per shard worker across the three
 //    phases of every window round — execute (run_until the window),
-//    barrier-wait (spin at A/B/C), exchange (handoff injection + node
-//    migration) — plus histograms of window width, lookahead-bound source,
+//    barrier-wait (spin at A/B), exchange (handoff injection + rebound)
+//    — plus histograms of window width, lookahead-bound source,
 //    handoff fan-out, and adaptive-batch width. The cardinal rule: stamps
 //    are taken ONLY at round boundaries, never per event, so enabling the
 //    profiler cannot perturb the serial==sharded bit-identity contract.
 //    Laps are contiguous (each lap starts where the previous ended), so the
 //    three phases account for the entire round loop by construction.
 //    Flattened into shard.* / runtime.* registry entries — wall-clock
-//    derived, hence engine-internal like sim.node_migrations and excluded
-//    from the determinism sweeps.
+//    derived, hence engine-internal like sim.nodes_built and excluded from
+//    the determinism sweeps.
 //
 //  * RunHealthMonitor samples wall-clock throughput (events/s) and process
 //    RSS (getrusage) at window barriers (sharded; worker 0 publishes its
@@ -38,8 +38,8 @@ namespace rrnet::obs {
 /// The three wall-clock phases of one sharded window round.
 enum class ShardPhase : std::uint8_t {
   Execute = 0,  ///< run_until(window) + bound/emitted publication
-  BarrierWait,  ///< spinning at barrier A / B / C
-  Exchange,     ///< handoff injection, migration collect/apply, rebound
+  BarrierWait,  ///< spinning at barrier A / B
+  Exchange,     ///< handoff injection, rebound
 };
 
 /// Which term of the conservative lookahead bound was the minimum.
@@ -58,8 +58,7 @@ struct alignas(64) WorkerProfile {
   std::uint64_t rounds = 0;
   std::uint64_t exchange_rounds = 0;
   std::uint64_t forced_quiet_exchanges = 0;
-  std::uint64_t handoffs_out = 0;    ///< handoffs this worker's shards emitted
-  std::uint64_t migrations_out = 0;  ///< node migrations its shards initiated
+  std::uint64_t handoffs_out = 0;  ///< handoffs this worker's shards emitted
   std::uint64_t bound_source[3] = {0, 0, 0};  ///< indexed by BoundSource
   Histogram window_width_ns;  ///< simulated window width (worker 0 only)
   Histogram handoff_fanout;   ///< outbound handoffs per shard-exchange
@@ -233,7 +232,6 @@ class RunHealthMonitor {
   std::uint64_t exchange_rounds_ = 0;
   std::uint64_t forced_quiet_exchanges_ = 0;
   std::uint64_t handoffs_ = 0;
-  std::uint64_t migrations_ = 0;
   bool profile_noted_ = false;
 };
 

@@ -25,7 +25,7 @@ Channel::Channel(des::Scheduler& scheduler, const geom::Terrain& terrain,
       nominal_range_(nominal_range(*model_, params, terrain)),
       interference_range_(interference_range(*model_, params, terrain)),
       rng_(rng),
-      shard_(std::move(shard)) {
+      shard_(shard) {
   RRNET_EXPECTS(model_ != nullptr);
   if (shared_index) {
     RRNET_EXPECTS(positions.empty() ||
@@ -48,7 +48,6 @@ Channel::Channel(des::Scheduler& scheduler, const geom::Terrain& terrain,
   if (shard_.sharded()) {
     outboxes_.resize(shard_.shards);
     handoff_mark_.assign(shard_.shards, 0);
-    migration_marked_.assign(n, 0);
   }
   // Per-link stream base: rng_ is fork-derived from the run's root seed,
   // so every shard computes the same base and stochastic draws replay
@@ -109,11 +108,6 @@ Transceiver& Channel::build_transceiver(std::uint32_t id) {
   return radio;
 }
 
-void Channel::evict_transceiver(std::uint32_t id) {
-  RRNET_EXPECTS(shard_.sharded() && !owns(id) && radio_built(id));
-  transceivers_.erase(id);
-}
-
 Transceiver& Channel::first_contact(std::uint32_t id) {
   // Constructors schedule nothing and every rng is forked by node id, so
   // building here, mid-run, gives the stack a run that built it up front
@@ -142,16 +136,6 @@ void Channel::set_position(std::uint32_t id, geom::Vec2 position) {
   // per-shard replicas), so mutation requires exclusive ownership.
   RRNET_EXPECTS(owned_grid_ != nullptr);
   owned_grid_->update_position(id, position);
-  // Dynamic ownership: an owned node that moved out of this strip becomes
-  // a migration candidate, picked up (and re-checked for quiescence) at the
-  // next window barrier. O(movers) — mobility models replicate position
-  // updates on every shard, but only the owner marks.
-  if (shard_.sharded() && shard_.strip_width > 0.0 && owns(id) &&
-      shard_of_position(position) != shard_.shard &&
-      migration_marked_[id] == 0) {
-    migration_marked_[id] = 1;
-    migration_candidates_.push_back(id);
-  }
 }
 
 des::Time Channel::heap_front(std::vector<des::Time>& heap, des::Time now) {
@@ -195,8 +179,7 @@ bool Channel::transmit(const Airframe& frame) {
     std::push_heap(phy_event_heap_.begin(), phy_event_heap_.end(),
                    std::greater<>{});
   }
-  start_transmission(frame, now, duration,
-                     /*record_handoffs=*/shard_.sharded());
+  start_transmission(frame, now, duration, /*replay=*/false);
   return true;
 }
 
@@ -226,11 +209,12 @@ void Channel::inject_remote(const ShardHandoff& handoff) {
     frame.frame.payload = net::clone_packet_deep(src.frame.payload);
   }
   start_transmission(frame, handoff.tx_time, handoff.duration,
-                     /*record_handoffs=*/false);
+                     /*replay=*/true);
 }
 
 void Channel::start_transmission(const Airframe& frame, des::Time tx_time,
-                                 des::Time duration, bool record_handoffs) {
+                                 des::Time duration, bool replay) {
+  const bool record_handoffs = shard_.sharded() && !replay;
   const geom::Vec2 origin = grid_->position(frame.sender);
   std::vector<std::uint32_t>& query_buffer = query_scratch();
   grid_->query(origin, interference_range_, query_buffer);
@@ -294,6 +278,9 @@ void Channel::start_transmission(const Airframe& frame, des::Time tx_time,
                                             : a.order < b.order;
             });
   const des::Time first = tx.receivers.front().arrival;
+  // Handoff soundness: every shard's window bound held, so a replayed
+  // signal reaches this shard only after the window it just closed.
+  RRNET_ASSERT(!replay || first > scheduler_->now());
   scheduler_->schedule_at(first,
                           [this, slot]() { advance_transmission(slot); });
   if (shard_.sharded()) {

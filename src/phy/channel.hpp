@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -54,15 +55,10 @@ struct ShardSpec {
   std::uint32_t shard = 0;   ///< this channel's shard index
   std::uint32_t shards = 1;  ///< total shard count
   /// owner[id] = owning shard of node id; empty means serial (all local).
-  /// Mutable after construction: mobility migrates nodes between strips
-  /// (set_owner), and every shard applies the same migration records in the
-  /// same order, so the maps never diverge.
-  std::vector<std::uint32_t> owner;
-  /// Width of one vertical strip (terrain width / shards). Zero means
-  /// ownership is static (no migration candidates are ever marked); the
-  /// sharded engine sets it so set_position can detect strip crossings with
-  /// the exact arithmetic of geom::ShardPartition::shard_of.
-  double strip_width = 0.0;
+  /// Fixed for the whole run, even when mobile nodes leave their initial
+  /// strip: one read-only map, shared by every shard of the run, which
+  /// must outlive the channel.
+  std::span<const std::uint32_t> owner;
   [[nodiscard]] bool sharded() const noexcept { return shards > 1; }
 };
 
@@ -113,7 +109,7 @@ class Channel {
   }
   /// The radio of `id`, which must already be built.
   [[nodiscard]] const Transceiver& transceiver(std::uint32_t id) const;
-  /// True once the radio of `id` is built (and until it is evicted).
+  /// True once the radio of `id` is built.
   [[nodiscard]] bool radio_built(std::uint32_t id) const noexcept {
     return transceivers_.get(id) != nullptr;
   }
@@ -127,7 +123,7 @@ class Channel {
     first_contact_ = std::move(build);
   }
   /// Build the radio of owned, unbuilt node `id` (the first-contact hook's
-  /// and node migration's one way to make a radio).
+  /// one way to make a radio).
   Transceiver& build_transceiver(std::uint32_t id);
   [[nodiscard]] geom::Vec2 position(std::uint32_t id) const;
   [[nodiscard]] const RadioParams& params() const noexcept { return params_; }
@@ -236,6 +232,8 @@ class Channel {
   /// receivers this shard owns. The handoff's packet payload is
   /// deep-cloned here so the source shard's pool is never touched again.
   /// Does NOT count toward stats().transmissions (the source shard did).
+  /// Asserts that no replayed signal reaches an owned receiver at or
+  /// before this shard's clock: the window bound guarantees it.
   void inject_remote(const ShardHandoff& handoff);
 
   /// True when any per-destination outbox holds a handoff (the sharded
@@ -254,65 +252,6 @@ class Channel {
     std::uint64_t n = 0;
     for (const auto& box : outboxes_) n += box.size();
     return n;
-  }
-
-  // --- Dynamic strip ownership (node migration) ---
-
-  /// Strip that owns position `p` — the EXACT arithmetic of
-  /// geom::ShardPartition::shard_of, mirrored here so crossing detection in
-  /// set_position agrees bitwise with the partition the engine built.
-  [[nodiscard]] std::uint32_t shard_of_position(geom::Vec2 p) const noexcept {
-    if (p.x <= 0.0) return 0;
-    const auto s = static_cast<std::uint32_t>(p.x / shard_.strip_width);
-    return s >= shard_.shards ? shard_.shards - 1 : s;
-  }
-
-  /// Re-home node `id` to shard `dst`. Called on EVERY shard for every
-  /// migration record, in the same global order, so all owner maps stay
-  /// identical (handoff routing reads owner[] for non-owned receivers).
-  void set_owner(std::uint32_t id, std::uint32_t dst) {
-    RRNET_EXPECTS(shard_.sharded() && id < shard_.owner.size());
-    shard_.owner[id] = dst;
-  }
-
-  /// Destroy the radio of a node this shard just evicted (frees to this
-  /// thread's pool — eviction always runs on the owning worker).
-  void evict_transceiver(std::uint32_t id);
-
-  /// True while any in-flight transmission still has a pending signal start
-  /// or end at receiver `id` — such a node cannot migrate (the walker would
-  /// touch a destroyed radio). O(active transmissions x receivers), only
-  /// called for boundary-crossing candidates at window barriers.
-  [[nodiscard]] bool has_pending_rx(std::uint32_t id) const noexcept {
-    for (const auto& tx : transmissions_) {
-      for (std::size_t i = tx->next_end; i < tx->receivers.size(); ++i) {
-        if (tx->receivers[i].rx_id == id) return true;
-      }
-    }
-    return false;
-  }
-
-  /// Per-sender frame-id counter transfer (migration: the adopting shard
-  /// must continue the evicted node's id sequence).
-  [[nodiscard]] std::uint32_t frame_counter(std::uint32_t id) const noexcept {
-    return frame_counters_[id];
-  }
-  void restore_frame_counter(std::uint32_t id, std::uint32_t value) noexcept {
-    frame_counters_[id] = value;
-  }
-
-  [[nodiscard]] bool has_migration_candidates() const noexcept {
-    return !migration_candidates_.empty();
-  }
-  /// Drain the deduped list of owned nodes whose last set_position landed
-  /// outside this shard's strip (appended to `out`; marks cleared so a
-  /// node that keeps moving re-registers next window).
-  void take_migration_candidates(std::vector<std::uint32_t>& out) {
-    for (const std::uint32_t id : migration_candidates_) {
-      migration_marked_[id] = 0;
-      out.push_back(id);
-    }
-    migration_candidates_.clear();
   }
 
  private:
@@ -358,10 +297,10 @@ class Channel {
   /// Shared body of transmit() and inject_remote(): build the receiver
   /// walk for `frame` put on the air at `tx_time` for `duration`. In shard
   /// mode, skips non-owned receivers (keeping their global order indices)
-  /// and, when `record_handoffs`, appends one ShardHandoff per remote
-  /// shard whose strip the signal reaches.
+  /// and, unless `replay` (a remote shard's transmission), appends one
+  /// ShardHandoff per remote shard whose strip the signal reaches.
   void start_transmission(const Airframe& frame, des::Time tx_time,
-                          des::Time duration, bool record_handoffs);
+                          des::Time duration, bool replay);
 
   /// Pop heap entries at or before `now` (the closed window run_until(now)
   /// already executed them), then return the front or +infinity.
@@ -406,10 +345,6 @@ class Channel {
   /// Scratch: shards already handed the current transmission (reset by id).
   std::vector<std::uint32_t> handoff_mark_;
   std::uint32_t handoff_epoch_ = 0;
-  /// Owned nodes whose position left this strip (deduped via the mark
-  /// array); drained by the sharded engine at window barriers.
-  std::vector<std::uint32_t> migration_candidates_;
-  std::vector<std::uint8_t> migration_marked_;
 };
 
 }  // namespace rrnet::phy

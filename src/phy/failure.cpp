@@ -55,9 +55,8 @@ void FailureModel::schedule_toggle(std::uint32_t node) {
   scheduler_->schedule_in(dwell, [this, node]() {
     NodeState& s = states_[node];
     const des::Time now = scheduler_->now();
-    // Ownership is checked at toggle time, not schedule time: a node that
-    // migrated since the last toggle is flipped by its new owner (whose
-    // replicated state machine agrees on s.off) and skipped by the old.
+    // Every shard runs this state machine for every node; only the owner
+    // flips the radio.
     if (s.off) {
       s.off_accum += now - s.last_change;
       if (channel_->owns(node)) channel_->transceiver(node).turn_on();

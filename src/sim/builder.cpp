@@ -194,7 +194,6 @@ WorldPlan plan_world(const ScenarioConfig& config) {
   if (config.shards > 1) {
     const geom::ShardPartition partition(plan.terrain, config.shards);
     plan.owner = geom::shard_owner_map(partition, plan.positions);
-    plan.strip_width = partition.strip_width();
     // Queries are const and the grid is never mutated (set_position asserts
     // exclusive ownership), so concurrent walks are race-free.
     if (!config.mobility) {
@@ -241,7 +240,7 @@ std::unique_ptr<World> build_world(const WorldPlan& plan,
   const des::Rng root(config.seed);
   world->network = std::make_unique<net::Network>(
       world->scheduler, plan.terrain, make_propagation(config), plan.radio,
-      config.mac, std::move(positions), root.fork("network"), std::move(shard),
+      config.mac, std::move(positions), root.fork("network"), shard,
       plan.shared_index);
   net::Network& network = *world->network;
   world->flood_policy = make_flood_policy(config);
@@ -375,8 +374,8 @@ ScenarioResult assemble_result(const app::FlowStats& flows,
     backoff_slots.snapshot_into(r.metrics, obs::metric::kMacBackoffSlots);
   }
   if (!energy.empty()) {
-    // Exactly one world reports each node (a meter migrates with its node),
-    // so summing in node-id order gives the same bits for any shard count.
+    // Exactly one world reports each node (its owner), so summing in
+    // node-id order gives the same bits for any shard count.
     std::sort(energy.begin(), energy.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
     for (const auto& [id, joules] : energy) r.total_energy_j += joules;

@@ -36,8 +36,9 @@ struct WorldPlan {
   std::vector<geom::Vec2> positions{};
   NodePairs pairs{};
   // Sharded runs (config.shards > 1) only:
-  std::vector<std::uint32_t> owner{};  ///< initial owning shard per node
-  double strip_width = 0.0;            ///< ShardPartition strip width
+  /// Owning shard per node: its initial strip, for the whole run. Every
+  /// shard's ShardSpec views this one map.
+  std::vector<std::uint32_t> owner{};
   /// Static positions: one immutable index every shard queries, so index
   /// memory is O(n) instead of O(n*K). Null under mobility, where each
   /// shard keeps a replica driven by its own replicated position updates.

@@ -54,26 +54,16 @@ struct ScenarioConfig {
   /// scheduler/channel/nodes, synchronized by conservative time windows
   /// (see DESIGN.md "Parallel execution"). Semantic per-layer counters and
   /// every figure metric are bit-identical for any K; engine-internal
-  /// counters (des.*, pool.*, sim.*) differ. Every scenario shape runs
-  /// sharded — mobility (replicated position updates + node migration),
-  /// failures (replicated schedules, ownership-gated toggles), stochastic
-  /// fading (counter-based per-link rng), and energy tracking (meters travel
-  /// with migrating nodes) included. Only trace_paths remains serial-only.
+  /// counters (des.*, pool.*, sim.*) may differ. Every scenario shape runs
+  /// sharded — mobility (replicated position updates; a node keeps its
+  /// initial strip's owner), failures (replicated schedules,
+  /// ownership-gated toggles), stochastic fading (counter-based per-link
+  /// rng), and energy tracking (each meter on its owner shard) included.
+  /// Only trace_paths remains serial-only.
   std::uint32_t shards = 1;
   /// Worker threads driving the shards; 0 = min(hardware_concurrency,
   /// shards). Clamped to `shards` — each worker owns a contiguous block.
   std::uint32_t shard_threads = 0;
-  /// Barrier amortization: max consecutive quiet windows (no shard has
-  /// outbound handoffs or migration work) that may skip the exchange half
-  /// of the barrier round before one is forced. 1 exchanges every window;
-  /// larger values halve the barrier crossings of quiet stretches. 0
-  /// (default) enables the adaptive controller: the allowance doubles
-  /// (capped at 64) after every forced exchange that found all shards
-  /// quiet and snaps back to 1 on a busy window, so idle stretches widen
-  /// automatically while bursts stay tightly synchronized. Results are
-  /// bit-identical for ANY value — a skipped exchange is provably a no-op —
-  /// so this is purely a performance knob.
-  std::uint32_t shard_window_batch = 0;
 
   // Topology.
   std::size_t nodes = 100;
@@ -142,7 +132,7 @@ struct ScenarioConfig {
   std::size_t trace_capacity = 1u << 20;  ///< ring size, in records
 
   /// Attribute wall clock per shard worker across the three phases of each
-  /// window round (execute / barrier-wait / exchange+migration), plus
+  /// window round (execute / barrier-wait / exchange), plus
   /// window-width / bound-source / handoff-fanout / batch-width telemetry,
   /// surfaced as shard.* / runtime.* registry entries and — in RRNET_TRACE
   /// builds with trace_events on — WindowSpan/BarrierWait worker lanes in

@@ -4,7 +4,6 @@
 #include <array>
 #include <memory>
 #include <thread>
-#include <utility>
 
 #include "obs/profiler.hpp"
 #include "sim/builder.hpp"
@@ -14,24 +13,6 @@
 namespace rrnet::sim {
 
 namespace {
-
-/// One node changing owner shards, exchanged at a window barrier. Built by
-/// the source shard's worker (in node-id order within the shard), applied
-/// by every worker in (source shard, record) order so all owner maps stay
-/// identical. Snapshots are by value / on the global allocator — the record
-/// crosses threads; the source worker destroys it next round.
-struct NodeMigration {
-  std::uint32_t node = 0;
-  std::uint32_t src = 0;
-  std::uint32_t dst = 0;
-  std::uint32_t frame_counter = 0;
-  std::uint32_t last_uid = 0;
-  net::NodeStats node_stats;
-  des::RngState node_rng;
-  mac::MacMigrationState mac;
-  phy::TransceiverSnapshot radio;
-  std::unique_ptr<net::MigrationBlob> protocol;
-};
 
 /// Conservative lower bound on this shard's next possible transmit time,
 /// evaluated with the shard quiesced at `now` (and any remote handoffs
@@ -66,10 +47,10 @@ ScenarioResult run_scenario_sharded(const ScenarioConfig& config,
   RRNET_EXPECTS(shards >= 2);
   // The only remaining serial-only feature: PathTrace observes every
   // network-layer tx in one world, and relay paths cross strips. Mobility
-  // is handled by replicated position updates + node migration, failures by
-  // replicated draw streams with ownership-gated toggles, fading by the
-  // counter-based per-link rng, and energy by meters that travel with
-  // migrating nodes and a node-id-order final sum.
+  // is handled by replicated position updates with static ownership,
+  // failures by replicated draw streams with ownership-gated toggles, fading
+  // by the counter-based per-link rng, and energy by per-owner meters and a
+  // node-id-order final sum.
   RRNET_EXPECTS(!config.trace_paths);
 
   std::uint32_t threads = config.shard_threads;
@@ -82,8 +63,8 @@ ScenarioResult run_scenario_sharded(const ScenarioConfig& config,
   obs::RunHealthMonitor* monitor = config.health_monitor;
   if (monitor != nullptr) monitor->begin_run();
 
-  // ---- Shared window-protocol state. worlds/bounds/emitted/migration
-  // slots are written by the owning worker and read by all; every
+  // ---- Shared window-protocol state. worlds/bounds/emitted slots are
+  // written by the owning worker and read by all; every
   // cross-thread handoff of these is ordered by a barrier crossing (or
   // thread join for the outcomes). ----
   SpinBarrier barrier(threads);
@@ -93,7 +74,7 @@ ScenarioResult run_scenario_sharded(const ScenarioConfig& config,
   // the span between two A crossings — parity gives them disjoint slots, and
   // the next same-parity write (round r+2) is separated from round r's reads
   // by barrier A(r+1). bounds[p][s] is the conservative transmit bound of
-  // shard s; emitted[p][s] flags outbound handoffs or migration work.
+  // shard s; emitted[p][s] flags outbound handoffs.
   std::array<std::vector<des::Time>, 2> bounds{
       std::vector<des::Time>(shards, 0.0),
       std::vector<des::Time>(shards, 0.0)};
@@ -102,24 +83,16 @@ ScenarioResult run_scenario_sharded(const ScenarioConfig& config,
       std::vector<std::uint8_t>(shards, 0)};
   std::vector<WorldOutcome> outcomes(shards);
   std::vector<std::vector<obs::TraceRecord>> trace_rings(threads);
-  // Deferred node migrations: written by the source shard's worker between
-  // barriers A and B (exchange rounds only), counted via migration_counts
-  // (published before B so readers never size() a foreign vector
-  // mid-write), applied by everyone between B and C, destroyed by the
-  // source worker at the next loop top (ordered by C — records only exist
-  // in rounds that crossed it).
-  std::vector<std::vector<NodeMigration>> migrations(shards);
-  std::vector<std::uint32_t> migration_counts(shards, 0);
   const bool want_trace = config.trace_events;
   const des::Time sim_end = config.sim_end;
   const mac::MacParams mac = config.mac;
-  // shard_window_batch == 0 selects the adaptive controller: the batch
-  // doubles (capped) after each forced exchange that found every shard
-  // quiet, and snaps back to 1 the moment any shard emits. Every worker
-  // replicates the controller off shared emitted[] state, so all take the
-  // same barrier path — and any batch value is bit-identical anyway (the
-  // skipped exchange rounds are provably no-ops; see the purity test).
-  const bool adaptive_batch = config.shard_window_batch == 0;
+  // Window batching: up to window_batch consecutive quiet windows (no shard
+  // has outbound handoffs) skip the exchange half of the round before one
+  // is forced. The batch doubles (capped) after each forced exchange that
+  // found every shard quiet, and snaps back to 1 the moment any shard
+  // emits. Every worker replicates the controller off shared emitted[]
+  // state, so all take the same barrier path; a skipped exchange is a
+  // no-op, so the batch never changes a result.
   constexpr std::uint32_t kMaxWindowBatch = 64;
   // Runtime profiler: per-worker phase/round accumulators, stamped only at
   // round boundaries (never per event — bit-identity untouched).
@@ -153,7 +126,7 @@ ScenarioResult run_scenario_sharded(const ScenarioConfig& config,
     mine.reserve(hi - lo);
     for (std::uint32_t s = lo; s < hi; ++s) {
       mine.push_back(build_world(
-          plan, {s, shards, plan.owner, plan.strip_width},
+          plan, {s, shards, plan.owner},
           plan.shared_index ? std::vector<geom::Vec2>{} : plan.positions));
       // Each shard logs its flow events for the time-ordered merge.
       mine.back()->flows.enable_event_log();
@@ -171,14 +144,6 @@ ScenarioResult run_scenario_sharded(const ScenarioConfig& config,
     }
     barrier.arrive_and_wait();
 
-    // Boundary-crossing nodes seen but not yet quiescent, per owned shard
-    // (worker-local: only this thread harvests candidates from its shards).
-    std::vector<std::vector<std::uint32_t>> pending(shards);
-    std::vector<std::uint32_t> keep;
-    // Outgoing migrations per owned shard (observability: summed into the
-    // sim.node_migrations counter at harvest).
-    std::vector<std::uint64_t> migrated(shards, 0);
-
     des::Time window = sim_end;
     for (std::uint32_t s = 0; s < shards; ++s) {
       window = std::min(window, bounds[0][s]);
@@ -187,33 +152,26 @@ ScenarioResult run_scenario_sharded(const ScenarioConfig& config,
     // on every worker (it advances off shared emitted[] state only), so all
     // workers take the same barrier path every round.
     std::uint32_t quiet_streak = 0;
-    std::uint32_t window_batch =
-        adaptive_batch ? 1 : std::max(1u, config.shard_window_batch);
+    std::uint32_t window_batch = 1;
     std::uint32_t parity = 0;
     // Profiler round state: the previous round's window (for width), and
-    // this round's barrier spin total (A + B + C) for the trace lane.
+    // this round's barrier spin total (A + B) for the trace lane.
     des::Time window_start = 0.0;
     [[maybe_unused]] std::uint64_t round_barrier_ns = 0;
     if (prof != nullptr) prof->begin();
     for (;;) {
       parity ^= 1;
       for (std::uint32_t s = lo; s < hi; ++s) {
-        // Safe to drop last window's handoffs and migration records now:
-        // every destination deep-cloned / applied what it needed before the
-        // previous barrier.
+        // Safe to drop last window's handoffs now: every destination
+        // deep-cloned what it needed before the previous barrier.
         worlds[s]->network->channel().clear_outboxes();
-        migrations[s].clear();
         worlds[s]->scheduler.run_until(window);
       }
       for (std::uint32_t s = lo; s < hi; ++s) {
         phy::Channel& channel = worlds[s]->network->channel();
-        emitted[parity][s] = channel.has_outbound() ||
-                                     channel.has_migration_candidates() ||
-                                     !pending[s].empty()
-                                 ? 1
-                                 : 0;
+        emitted[parity][s] = channel.has_outbound() ? 1 : 0;
         // Provisional bound; exact when the exchange below is skipped
-        // (injection and migration would both be no-ops then).
+        // (injection would be a no-op then).
         obs::BoundSource bound_src = obs::BoundSource::ArmedTx;
         bounds[parity][s] = shard_bound(*worlds[s], window, mac,
                                         prof != nullptr ? &bound_src : nullptr);
@@ -250,8 +208,7 @@ ScenarioResult run_scenario_sharded(const ScenarioConfig& config,
           window >= sim_end || quiet_streak + 1 >= window_batch || any_emitted;
       if (!exchange) {
         // Quiet window: nothing outbound anywhere, so the injection +
-        // rebound + barrier B round-trip is skipped entirely. Bit-identical
-        // for any window_batch — the skipped work is provably a no-op.
+        // rebound + barrier B round-trip is skipped entirely.
         ++quiet_streak;
         if (prof != nullptr) {
           RRNET_TRACE_EVENT(obs::EventKind::BarrierWait, window, t,
@@ -264,13 +221,10 @@ ScenarioResult run_scenario_sharded(const ScenarioConfig& config,
         window = next;
         continue;
       }
-      if (adaptive_batch) {
-        // Busy window: exchanges are earning their keep, go tight. A forced
-        // exchange that found nothing anywhere: widen the quiet allowance.
-        window_batch = any_emitted
-                           ? 1
-                           : std::min(window_batch * 2, kMaxWindowBatch);
-      }
+      // Busy window: exchanges are earning their keep, go tight. A forced
+      // exchange that found nothing anywhere: widen the quiet allowance.
+      window_batch =
+          any_emitted ? 1 : std::min(window_batch * 2, kMaxWindowBatch);
       quiet_streak = 0;
       if (prof != nullptr) {
         ++prof->exchange_rounds;
@@ -295,54 +249,7 @@ ScenarioResult run_scenario_sharded(const ScenarioConfig& config,
             channel.inject_remote(handoff);
           }
         }
-
-        // Migration records AFTER injection: a handoff aimed at a crossing
-        // node parks a pending rx on it, which vetoes the move this round.
-        net::Network& network = *worlds[s]->network;
-        channel.take_migration_candidates(pending[s]);
-        std::sort(pending[s].begin(), pending[s].end());
-        pending[s].erase(std::unique(pending[s].begin(), pending[s].end()),
-                         pending[s].end());
-        keep.clear();
-        for (const std::uint32_t id : pending[s]) {
-          net::Node& node = network.node(id);
-          // Non-migratable protocols keep static ownership: semantically any
-          // owner map is correct (the full grid replays every walk), the
-          // strips just stay unbalanced. Drop the candidate for good.
-          if (!node.protocol().migratable()) continue;
-          const std::uint32_t dst =
-              channel.shard_of_position(channel.position(id));
-          if (dst == s) continue;  // wandered back home before quiescing
-          phy::Transceiver& radio = channel.transceiver(id);
-          if (!node.protocol().quiescent() || !node.mac().quiescent() ||
-              !radio.quiescent() || channel.has_pending_rx(id)) {
-            keep.push_back(id);  // busy: retry at a later window
-            continue;
-          }
-          NodeMigration rec;
-          rec.node = id;
-          rec.src = s;
-          rec.dst = dst;
-          rec.frame_counter = channel.frame_counter(id);
-          rec.last_uid = node.last_uid();
-          rec.node_stats = node.stats();
-          rec.node_rng = node.rng().state();
-          rec.mac = node.mac().export_migration_state();
-          rec.radio = radio.export_snapshot();
-          rec.protocol = node.protocol().export_state();
-          migrations[s].push_back(std::move(rec));
-        }
-        pending[s].assign(keep.begin(), keep.end());
-        migration_counts[s] =
-            static_cast<std::uint32_t>(migrations[s].size());
-        if (window < sim_end) {
-          migrated[s] += migrations[s].size();
-          if (prof != nullptr) prof->migrations_out += migrations[s].size();
-        }
-
         // Bound AFTER injection: replayed signals feed the PHY-event term.
-        // Migrating nodes are quiescent by construction, so re-homing them
-        // after barrier B cannot invalidate this bound.
         bounds[parity][s] = shard_bound(*worlds[s], window, mac);
       }
       if (t == 0 && monitor != nullptr) {
@@ -358,62 +265,16 @@ ScenarioResult run_scenario_sharded(const ScenarioConfig& config,
         stop_requested = monitor->checkpoint(events) ? 0 : 1;
       }
       if (prof != nullptr) (void)prof->lap(obs::ShardPhase::Exchange);
-      barrier.arrive_and_wait();  // B: bounds + migration counts published
+      barrier.arrive_and_wait();  // B: bounds published
       if (prof != nullptr) {
         round_barrier_ns += prof->lap(obs::ShardPhase::BarrierWait);
-      }
-
-      std::uint32_t total_migrations = 0;
-      for (std::uint32_t s = 0; s < shards; ++s) {
-        total_migrations += migration_counts[s];
-      }
-      if (window < sim_end && total_migrations > 0) {
-        // EVERY worker walks ALL records in (source shard, record) order:
-        // each updates the owner maps of the shards it owns for every
-        // record, and performs the evict / adopt halves it owns. The
-        // per-record order (owner map first) satisfies the adopt/evict
-        // contracts when src or dst is local.
-        for (std::uint32_t src = 0; src < shards; ++src) {
-          for (const NodeMigration& rec : migrations[src]) {
-            for (std::uint32_t s = lo; s < hi; ++s) {
-              worlds[s]->network->channel().set_owner(rec.node, rec.dst);
-            }
-            if (rec.src >= lo && rec.src < hi) {
-              worlds[rec.src]->network->evict_node(rec.node);
-            }
-            if (rec.dst >= lo && rec.dst < hi) {
-              World& world = *worlds[rec.dst];
-              net::Node& node = world.network->adopt_node(rec.node);
-              node.protocol().start();
-              world.network->channel().restore_frame_counter(
-                  rec.node, rec.frame_counter);
-              node.restore_migration_state(rec.node_stats, rec.last_uid,
-                                           rec.node_rng);
-              node.mac().import_migration_state(rec.mac);
-              world.network->channel().transceiver(rec.node).import_snapshot(
-                  rec.radio);
-              if (rec.protocol != nullptr) {
-                node.protocol().import_state(*rec.protocol);
-              }
-            }
-          }
-        }
-        if (prof != nullptr) (void)prof->lap(obs::ShardPhase::Exchange);
-        // C: all adoptions done before any source clears its records (next
-        // loop top) or transmits to the node's new home.
-        barrier.arrive_and_wait();
-        if (prof != nullptr) {
-          round_barrier_ns += prof->lap(obs::ShardPhase::BarrierWait);
-        }
-      }
-      if (prof != nullptr) {
         RRNET_TRACE_EVENT(obs::EventKind::BarrierWait, window, t,
                           round_barrier_ns, 0);
       }
 
       // Budget abort (worker 0's verdict, published before barrier B): all
-      // workers break at the same round, every shard quiesced at `window`,
-      // migrations fully applied — a consistent partial result.
+      // workers break at the same round, every shard quiesced at `window` —
+      // a consistent partial result.
       if (stop_requested != 0) break;
       if (window >= sim_end) break;
       des::Time next = sim_end;
@@ -428,9 +289,6 @@ ScenarioResult run_scenario_sharded(const ScenarioConfig& config,
     // pool-backed structures), then destroy the worlds here too.
     for (std::uint32_t s = lo; s < hi; ++s) {
       outcomes[s] = harvest_world(*worlds[s]);
-      if (migrated[s] > 0) {
-        outcomes[s].metrics.add(obs::metric::kSimNodeMigrations, migrated[s]);
-      }
     }
     mine.clear();
     // Registry merges commute, so this worker's pool deltas ride along

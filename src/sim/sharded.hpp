@@ -36,10 +36,12 @@ namespace rrnet::sim {
 /// observes one world). Everything else — mobility, failures, stochastic
 /// fading, energy tracking — runs sharded and stays bit-identical to
 /// serial: mobility and failure schedules are replicated on every shard
-/// from the same rng forks, nodes that cross strip boundaries migrate at
-/// window barriers once quiescent, fading draws come from counter-based
-/// per-link streams (des::LinkRng) that any shard can replay, and energy
-/// meters travel with migrating nodes (final sum in node-id order).
+/// from the same rng forks, a node stays with the shard of its initial
+/// strip wherever it moves (every shard replays every walk over the full
+/// position grid, so any owner map is correct), fading draws come from
+/// counter-based per-link streams (des::LinkRng) that any shard can
+/// replay, and each energy meter lives on its node's owner (final sum in
+/// node-id order).
 ///
 /// When `trace_out` is non-null and config.trace_events is set, the
 /// per-worker tracer rings are merged by timestamp into it (stable across

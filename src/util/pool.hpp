@@ -324,13 +324,6 @@ class BuildOrderTable {
     order_.push_back(raw);
     return *raw;
   }
-  /// Delete the object of `id` (O(objects held); migration only).
-  void erase(std::uint32_t id) {
-    T* raw = by_id_[id];
-    by_id_[id] = nullptr;
-    order_.erase(std::find(order_.begin(), order_.end(), raw));
-    delete raw;
-  }
 
  private:
   std::vector<T*> by_id_;

@@ -299,23 +299,25 @@ class ChannelHandoffTest : public ::testing::Test {
     params_.tx_power_dbm =
         tx_power_for_range(for_power, 250.0, params_.rx_threshold_dbm);
     const geom::Terrain terrain(1000.0, 1000.0);
+    owner_ = std::move(owner);  // both shards view this one map
     for (std::uint32_t s = 0; s < 2; ++s) {
       ShardSpec spec;
       spec.shard = s;
       spec.shards = 2;
-      spec.owner = owner;
+      spec.owner = owner_;
       shard_[s] = std::make_unique<Channel>(
           scheduler_[s], terrain, std::make_unique<FreeSpace>(), params_,
-          positions, des::Rng(1), std::move(spec));
+          positions, des::Rng(1), spec);
     }
     captures_.resize(positions.size());
     for (std::uint32_t id = 0; id < positions.size(); ++id) {
-      shard_[owner[id]]->transceiver(id).attach(captures_[id]);
+      shard_[owner_[id]]->transceiver(id).attach(captures_[id]);
     }
   }
 
   des::Scheduler scheduler_[2];
   RadioParams params_;
+  std::vector<std::uint32_t> owner_;  ///< outlives the channels viewing it
   std::unique_ptr<Channel> shard_[2];
   std::vector<Capture> captures_;
 };

@@ -17,6 +17,7 @@
 #include "net/packet_buffer.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
+#include "geom/shard_partition.hpp"
 #include "proto/dsr.hpp"
 #include "sim/builder.hpp"
 #include "sim/replication.hpp"
@@ -120,8 +121,7 @@ TEST(ShardedDeterminism, Fig3RoutelessBitIdenticalAcrossShardCounts) {
 }
 
 /// Mobility scenario tuned so nodes actually cross strip boundaries: a
-/// narrow-but-wide terrain (thin strips at K=4), fast nodes, and a
-/// migratable protocol family (flooding).
+/// narrow-but-wide terrain (thin strips at K=4) and fast nodes.
 ScenarioConfig mobility_scenario() {
   ScenarioConfig config;
   config.seed = 8881;
@@ -193,24 +193,38 @@ void expect_energy_identical(const ScenarioResult& serial,
       << "K=" << shards;
 }
 
+/// Node positions of a serial run, read from its channel.
+std::vector<geom::Vec2> positions_of(SimInstance& sim) {
+  std::vector<geom::Vec2> out;
+  for (std::uint32_t id = 0; id < sim.network().size(); ++id) {
+    out.push_back(sim.network().channel().position(id));
+  }
+  return out;
+}
+
 TEST(ShardedDeterminism, MobilityBitIdenticalAcrossShardCounts) {
-  const ScenarioResult serial = run_scenario(mobility_scenario());
+  SimInstance sim(mobility_scenario());
+  const std::vector<geom::Vec2> placed = positions_of(sim);
+  sim.run();
+  const std::vector<geom::Vec2> final_positions = positions_of(sim);
+  const ScenarioResult serial = sim.result();
   ASSERT_GT(serial.sent, 0u);
   ASSERT_GT(serial.delivered, 0u);
-  std::uint64_t migrations_seen = 0;
   for (const std::uint32_t shards : {2u, 4u}) {
     ScenarioConfig config = mobility_scenario();
     config.shards = shards;
     config.shard_threads = 2;
     const ScenarioResult result = run_scenario(config);
     expect_semantically_identical(serial, result, shards);
-    if (result.metrics.contains(obs::metric::kSimNodeMigrations)) {
-      migrations_seen += result.metrics.value(obs::metric::kSimNodeMigrations);
-    }
+    // Tuned so nodes end the run outside the strip that owns them —
+    // otherwise this gate would silently degrade into the static one.
+    const geom::ShardPartition partition(sim.terrain(), shards);
+    const std::vector<std::uint32_t> owner =
+        geom::shard_owner_map(partition, placed);
+    const std::vector<std::uint32_t> home =
+        geom::shard_owner_map(partition, final_positions);
+    EXPECT_NE(owner, home) << "K=" << shards;
   }
-  // The scenario is tuned so ownership actually changes hands — otherwise
-  // this gate would silently degrade into the static-topology one.
-  EXPECT_GT(migrations_seen, 0u);
 }
 
 TEST(ShardedDeterminism, RayleighFadingBitIdenticalAcrossShardCounts) {
@@ -313,22 +327,6 @@ TEST(ShardedDeterminism, ReplicationsComposeWithShards) {
   }
 }
 
-TEST(ShardedDeterminism, WindowBatchIsPureOptimization) {
-  // shard_window_batch must be invisible in the results: a skipped exchange
-  // round is a no-op by construction. Gate every fixed batch plus 0 (the
-  // adaptive controller) against exchange-every-window.
-  for (const std::uint32_t batch : {0u, 4u, 16u}) {
-    ScenarioConfig config = mobility_scenario();
-    config.shards = 4;
-    config.shard_threads = 2;
-    config.shard_window_batch = 1;
-    const ScenarioResult baseline = run_scenario(config);
-    config.shard_window_batch = batch;
-    const ScenarioResult batched = run_scenario(config);
-    expect_semantically_identical(baseline, batched, 4);
-  }
-}
-
 TEST(SerialFadingRng, DeterministicPerSeedAfterLinkRngSwitch) {
   // The one documented result change of the counter-based rng scheme:
   // serial stochastic-fading runs draw per-link streams now, so absolute
@@ -410,7 +408,7 @@ TEST(ShardedDeterminism, RuntimeProfilerOnStaysBitIdentical) {
   }
 }
 
-TEST(ShardedDeterminism, HealthMonitorAndProfilerComposeWithMigration) {
+TEST(ShardedDeterminism, HealthMonitorAndProfilerComposeWithMobility) {
   // Monitor + profiler together on the hardest scenario (mobile nodes
   // crossing strips): still bit-identical, and the monitor observed a live
   // run without tripping any budget (none were set).
@@ -432,6 +430,45 @@ TEST(ShardedDeterminism, HealthMonitorAndProfilerComposeWithMigration) {
   // breakdown per worker, each fully covered by the contiguous laps.
   ASSERT_EQ(monitor.worker_phases().size(), 2u);
   EXPECT_GT(monitor.min_phase_coverage(), 0.95);
+}
+
+TEST(FirstContact, ShardedMobilityRunBuildsTheNodesSerialBuilds) {
+  // A sparse flood over moving nodes: most nodes are never reached. Each
+  // node is built on its one owner shard when first contacted, so the
+  // shards together build exactly the nodes the serial run builds.
+  ScenarioConfig config;
+  config.seed = 11;
+  config.nodes = 300;
+  config.width_m = 3000.0;
+  config.height_m = 3000.0;
+  config.range_m = 250.0;
+  config.protocol = ProtocolKind::Ssaf;
+  config.pairs = 1;
+  config.require_connected_pairs = true;
+  config.min_pair_hops = 2;
+  config.flood_ttl = 4;
+  config.cbr_interval = 1.0;
+  config.payload_bytes = 128;
+  config.traffic_start = 1.0;
+  config.traffic_stop = 4.0;
+  config.sim_end = 6.0;
+  config.mobility = true;
+  config.mobility_min_speed_mps = 20.0;
+  config.mobility_max_speed_mps = 40.0;
+  config.mobility_pause_s = 0.5;
+  SimInstance serial(config);
+  serial.run();
+  const ScenarioResult want = serial.result();
+  const std::uint64_t serial_built = serial.network().nodes_built();
+  ASSERT_GT(want.sent, 0u);
+  ASSERT_GT(serial_built, 2u);  // the floods reached someone ...
+  ASSERT_LT(serial_built, config.nodes);  // ... but not everyone
+
+  config.shards = 2;
+  config.shard_threads = 2;
+  const ScenarioResult got = run_scenario(config);
+  expect_semantically_identical(want, got, 2);
+  EXPECT_EQ(got.metrics.value(obs::metric::kSimNodesBuilt), serial_built);
 }
 
 TEST(ClonePacketDeep, CopiesEveryFieldAndRehomesExtension) {

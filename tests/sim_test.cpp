@@ -628,42 +628,6 @@ TEST(FirstContact, SparseFloodBuildsEndpointsAndNodesThatHeardASignal) {
   EXPECT_EQ(result.metrics.value(obs::metric::kSimNodesBuilt), expected);
 }
 
-TEST(FirstContact, UnbuiltNodesMigrateInShardedMobilityRun) {
-  ScenarioConfig config = sparse_ssaf_scenario();
-  config.nodes = 300;
-  config.width_m = 3000.0;
-  config.height_m = 3000.0;
-  config.mobility = true;
-  config.mobility_min_speed_mps = 20.0;
-  config.mobility_max_speed_mps = 40.0;
-  config.mobility_pause_s = 0.5;
-  SimInstance serial(config);
-  serial.run();
-  const ScenarioResult want = serial.result();
-  const std::uint64_t serial_built = serial.network().nodes_built();
-  ASSERT_LT(serial_built, config.nodes);
-
-  ScenarioConfig sharded_config = config;
-  sharded_config.shards = 2;
-  const ScenarioResult got = run_scenario_sharded(sharded_config);
-  EXPECT_EQ(got.sent, want.sent);
-  EXPECT_EQ(got.delivered, want.delivered);
-  EXPECT_EQ(got.mac_packets, want.mac_packets);
-  EXPECT_EQ(std::memcmp(&got.mean_delay_s, &want.mean_delay_s, sizeof(double)),
-            0);
-  EXPECT_EQ(semantic_metrics_hash(got.metrics),
-            semantic_metrics_hash(want.metrics));
-  // Every migration builds the node on its new shard. A shard builds the
-  // rest at first contact, as the serial run does, or because the node
-  // left its strip: more of those than the serial run builds means some
-  // node was first touched by its own migration, unbuilt until then.
-  const std::uint64_t migrations =
-      got.metrics.value(obs::metric::kSimNodeMigrations);
-  EXPECT_GT(migrations, 0u);
-  EXPECT_GT(got.metrics.value(obs::metric::kSimNodesBuilt) - migrations,
-            serial_built);
-}
-
 TEST(FirstContact, ProactiveProtocolBuildsAndStartsEveryNodeAtTimeZero) {
   const ScenarioConfig config = small_scenario(ProtocolKind::Dsdv);
   SimInstance sim(config);
